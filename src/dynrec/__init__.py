@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from dynrec.config import RunConfig, parse_config
 from dynrec.data import (
-    Interaction,
     InteractionGraph,
     SnapshotSeries,
     Vocabulary,
@@ -26,7 +25,6 @@ from dynrec.prompt import GateParams, build_prompt_graph, finetune
 
 __all__ = [
     "GateParams",
-    "Interaction",
     "InteractionGraph",
     "RunConfig",
     "SnapshotSeries",

@@ -94,13 +94,11 @@ def _load_cfg(args) -> RunConfig:
 
 
 def _load_series(path: str, cfg: RunConfig) -> SnapshotSeries:
-    interactions, _ = load_interactions(path)
-    series = segment_snapshots(
-        interactions, cfg.pretrain_span_seconds, cfg.granularity_seconds
-    )
+    edges, _ = load_interactions(path)
+    series = segment_snapshots(edges, cfg.pretrain_span_seconds, cfg.granularity_seconds)
     log.info(
         "segmented %d interactions: %d users, %d items, %d pre-training edges, %d snapshots",
-        len(interactions),
+        len(edges),
         series.n_users,
         series.n_items,
         series.pretrain.n_edges,

@@ -48,7 +48,6 @@ class RunConfig:
     # reproducibility / runtime
     seed: int = 0
     deterministic: bool = True  # zero wall-clock fields in reports
-    threads: int = 1
     random_gate_std: float = 0.05  # std of the throwaway gate used before tuning
 
     # ablation switches
@@ -88,8 +87,6 @@ class RunConfig:
             raise ValueError("k must be >= 1")
         if self.eval_candidates < 0:
             raise ValueError("eval_candidates must be >= 0")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
         if self.random_gate_std < 0:
             raise ValueError("random_gate_std must be >= 0")
 

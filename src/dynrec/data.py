@@ -1,4 +1,4 @@
-"""Interaction ingestion, snapshot segmentation and sparse graph construction.
+"""Log ingestion, snapshot segmentation and sparse graph construction.
 
 Input data is a log of (user, item, unix-timestamp) triples. Users and items
 are remapped onto one global id space (users first, then items) so a single
@@ -7,61 +7,59 @@ a sequence of fixed-width time-slot snapshots, and each edge set can be built
 into an immutable bidirectional CSR graph carrying per-edge time attributes:
 the raw timestamp, a relative timestep (timestamp offset divided by the
 interval `tau`, floored) and that timestep min-max normalized into [0, 1].
+
+Every edge set outside a graph, from ingest to evaluation, is an (E, 3)
+int64 array of (user, item, ts_unix) rows.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class Interaction:
-    """One user-item interaction at a point in time."""
-
-    user: int
-    item: int
-    ts_unix: int
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Global id remap: users occupy [0, n_users), items [n_users, n_users + n_items)."""
+    """Global id remap: users occupy [0, n_users), items [n_users, n_users + n_items).
 
-    user_index: dict[int, int]
-    item_index: dict[int, int]
+    `users` and `items` hold the sorted unique raw ids; a raw id's position
+    in its array is its local index.
+    """
+
+    users: np.ndarray
+    items: np.ndarray
+
+    @classmethod
+    def from_edges(cls, edges: np.ndarray) -> "Vocabulary":
+        return cls(users=np.unique(edges[:, 0]), items=np.unique(edges[:, 1]))
 
     @property
     def n_users(self) -> int:
-        return len(self.user_index)
+        return int(self.users.size)
 
     @property
     def n_items(self) -> int:
-        return len(self.item_index)
+        return int(self.items.size)
 
     @property
     def n_nodes(self) -> int:
         return self.n_users + self.n_items
 
-    @classmethod
-    def from_interactions(cls, interactions: Iterable[Interaction]) -> "Vocabulary":
-        users = sorted({x.user for x in interactions})
-        items = sorted({x.item for x in interactions})
-        n_users = len(users)
-        return cls(
-            user_index={u: k for k, u in enumerate(users)},
-            item_index={i: n_users + k for k, i in enumerate(items)},
-        )
-
-    def encode(self, interactions: Iterable[Interaction]) -> list[Interaction]:
-        """Map raw ids into the global id space."""
-        return [
-            Interaction(self.user_index[x.user], self.item_index[x.item], x.ts_unix)
-            for x in interactions
-        ]
+    def encode(self, edges: np.ndarray) -> np.ndarray:
+        """Map raw ids into the global id space; every id must be in the vocabulary."""
+        user = np.searchsorted(self.users, edges[:, 0])
+        item = np.searchsorted(self.items, edges[:, 1])
+        if not (
+            np.array_equal(self.users.take(user, mode="clip"), edges[:, 0])
+            and np.array_equal(self.items.take(item, mode="clip"), edges[:, 1])
+        ):
+            raise ValueError("edge id outside the vocabulary")
+        return np.stack([user, self.n_users + item, edges[:, 2]], axis=1)
 
 
 def _iter_lines(source: IO[bytes] | IO[str] | Iterable[str]) -> Iterator[str]:
@@ -71,16 +69,17 @@ def _iter_lines(source: IO[bytes] | IO[str] | Iterable[str]) -> Iterator[str]:
 
 def ingest_interactions(
     source: IO[bytes] | IO[str] | Iterable[str],
-) -> tuple[list[Interaction], Vocabulary]:
+) -> tuple[np.ndarray, Vocabulary]:
     """Parse `user<TAB>item<TAB>ts_unix` lines and build the global id remap.
 
-    Returns the interactions in input order with their original ids, plus the
-    vocabulary mapping raw ids onto the global id space. Blank lines are
-    skipped; anything else that does not parse as three non-negative integers
-    raises ValueError naming the 1-based line number. Empty input yields an
-    empty list, not an error.
+    Returns the edges as an (E, 3) int64 array of (user, item, ts_unix) rows
+    in input order with their original ids, plus the vocabulary mapping raw
+    ids onto the global id space. Blank lines are skipped; anything else
+    that does not parse as three integers in [0, 2**63) raises ValueError
+    naming the 1-based line number. Empty input yields a (0, 3) array, not
+    an error.
     """
-    interactions: list[Interaction] = []
+    rows: list[tuple[int, int, int]] = []
     for lineno, line in enumerate(_iter_lines(source), start=1):
         stripped = line.rstrip("\n").rstrip("\r")
         if not stripped.strip():
@@ -98,26 +97,22 @@ def ingest_interactions(
                 f"malformed interaction at line {lineno}: non-integer field in "
                 f"{stripped!r}"
             ) from None
-        if user < 0 or item < 0 or ts < 0:
-            raise ValueError(f"malformed interaction at line {lineno}: negative value")
-        interactions.append(Interaction(user, item, ts))
-    return interactions, Vocabulary.from_interactions(interactions)
+        if not (
+            0 <= user <= _INT64_MAX
+            and 0 <= item <= _INT64_MAX
+            and 0 <= ts <= _INT64_MAX
+        ):
+            raise ValueError(
+                f"malformed interaction at line {lineno}: value outside [0, 2**63)"
+            )
+        rows.append((user, item, ts))
+    edges = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    return edges, Vocabulary.from_edges(edges)
 
 
-def load_interactions(path: str) -> tuple[list[Interaction], Vocabulary]:
+def load_interactions(path: str) -> tuple[np.ndarray, Vocabulary]:
     with open(path, "rb") as fh:
         return ingest_interactions(fh)
-
-
-def interactions_to_arrays(
-    interactions: Sequence[Interaction],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split a sequence of interactions into (user, item, ts) int64 arrays."""
-    if not interactions:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), empty.copy()
-    arr = np.array([(x.user, x.item, x.ts_unix) for x in interactions], dtype=np.int64)
-    return arr[:, 0], arr[:, 1], arr[:, 2]
 
 
 @dataclass(frozen=True)
@@ -174,22 +169,18 @@ class InteractionGraph:
     def undirected_edges(self) -> set[tuple[int, int]]:
         return set(zip(self.edge_user.tolist(), self.edge_item.tolist()))
 
-    def interactions(self) -> list[Interaction]:
-        return [
-            Interaction(int(u), int(i), int(t))
-            for u, i, t in zip(self.edge_user, self.edge_item, self.edge_ts)
-        ]
+    def edges(self) -> np.ndarray:
+        """The canonical edges as an (E, 3) array of (user, item, ts) rows."""
+        return np.stack([self.edge_user, self.edge_item, self.edge_ts], axis=1)
 
 
-def build_graph(
-    edges: Sequence[Interaction], n_users: int, n_items: int
-) -> InteractionGraph:
-    """Build the CSR graph for an edge set in global id space.
+def build_graph(edges: np.ndarray, n_users: int, n_items: int) -> InteractionGraph:
+    """Build the CSR graph for an (E, 3) edge array in global id space.
 
     Duplicate (user, item) pairs collapse into one edge keeping the latest
-    timestamp. An empty edge list yields a valid graph with zero edges.
+    timestamp. An empty edge array yields a valid graph with zero edges.
     """
-    user, item, ts = interactions_to_arrays(edges)
+    user, item, ts = edges.T
     if user.size:
         if user.min() < 0 or user.max() >= n_users:
             raise ValueError("user id outside [0, n_users)")
@@ -265,7 +256,7 @@ class SnapshotSeries:
 
     vocab: Vocabulary
     pretrain: InteractionGraph
-    snapshots: tuple[tuple[Interaction, ...], ...]
+    snapshots: tuple[np.ndarray, ...]  # (E_n, 3) edge arrays, input order
     pretrain_end: int
     boundaries: tuple[int, ...]
 
@@ -294,41 +285,42 @@ class SnapshotSeries:
 
 
 def segment_snapshots(
-    interactions: Sequence[Interaction], pretrain_span: int, granularity: int
+    edges: np.ndarray, pretrain_span: int, granularity: int
 ) -> SnapshotSeries:
-    """Split raw interactions into a pre-training graph and fixed-width snapshots.
+    """Split a raw (E, 3) edge array into a pre-training graph and fixed-width snapshots.
 
     The vocabulary is built over the full log up front, so nodes that only
     appear in later snapshots still get embedding rows from the start. Edges
     with ts < min_ts + pretrain_span form the pre-training graph; the rest
     fall into consecutive buckets of width `granularity` (empty middle
-    buckets are kept as empty snapshots).
+    buckets are kept as empty snapshots). Each snapshot keeps its edges in
+    input order, not timestamp order.
     """
-    if not interactions:
+    if len(edges) == 0:
         raise ValueError("no interactions to segment")
     if pretrain_span <= 0 or granularity <= 0:
         raise ValueError("pretrain_span and granularity must be positive")
-    vocab = Vocabulary.from_interactions(interactions)
-    encoded = vocab.encode(interactions)
-    ts = np.array([x.ts_unix for x in encoded], dtype=np.int64)
-    pretrain_end = int(ts.min()) + int(pretrain_span)
+    vocab = Vocabulary.from_edges(edges)
+    encoded = vocab.encode(edges)
+    pretrain_end = int(encoded[:, 2].min()) + int(pretrain_span)
 
-    pretrain_edges = [x for x in encoded if x.ts_unix < pretrain_end]
-    rest = [x for x in encoded if x.ts_unix >= pretrain_end]
-    if not rest:
+    in_pretrain = encoded[:, 2] < pretrain_end
+    rest = encoded[~in_pretrain]
+    if len(rest) == 0:
         raise ValueError("no snapshots remain: pre-training span consumes all data")
 
-    n_buckets = int((max(x.ts_unix for x in rest) - pretrain_end) // granularity) + 1
-    buckets: list[list[Interaction]] = [[] for _ in range(n_buckets)]
-    for x in rest:
-        buckets[(x.ts_unix - pretrain_end) // granularity].append(x)
+    bucket = (rest[:, 2] - pretrain_end) // granularity
+    n_buckets = int(bucket.max()) + 1
+    # a stable sort on the bucket index alone keeps input order inside a bucket
+    rest = rest[np.argsort(bucket, kind="stable")]
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(bucket, minlength=n_buckets))])
     boundaries = tuple(
         pretrain_end + (k + 1) * int(granularity) for k in range(n_buckets)
     )
     return SnapshotSeries(
         vocab=vocab,
-        pretrain=build_graph(pretrain_edges, vocab.n_users, vocab.n_items),
-        snapshots=tuple(tuple(b) for b in buckets),
+        pretrain=build_graph(encoded[in_pretrain], vocab.n_users, vocab.n_items),
+        snapshots=tuple(rest[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])),
         pretrain_end=pretrain_end,
         boundaries=boundaries,
     )

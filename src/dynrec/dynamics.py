@@ -113,24 +113,33 @@ class DynamicResult:
         }
 
 
-def _snapshot_user_items(snapshot) -> dict[int, set[int]]:
-    by_user: dict[int, set[int]] = {}
-    for edge in snapshot:
-        by_user.setdefault(edge.user, set()).add(edge.item)
-    return by_user
+def _pair_keys(edges: np.ndarray, n_users: int, n_items: int) -> np.ndarray:
+    """(user, item) composite keys user * n_items + local item, one per row."""
+    return edges[:, 0] * np.int64(n_items) + (edges[:, 1] - n_users)
 
 
 def _eval_inputs(
-    test_snapshot, seen: dict[int, set[int]], n_users: int, n_items: int
+    test_snapshot: np.ndarray, seen: np.ndarray, n_users: int, n_items: int
 ) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
-    """Per-user relevant sets (local ids) and training-visibility masks."""
+    """Per-user relevant sets (local ids) and training-visibility masks.
+
+    `seen` holds the sorted (user, item) keys visible during training;
+    repeated keys are harmless.
+    """
+    keys = np.unique(_pair_keys(test_snapshot, n_users, n_items))
+    test_users = np.unique(keys // n_items)
+    # each user's keys span [user * n_items, (user + 1) * n_items)
+    bounds = np.stack([test_users, test_users + 1]) * n_items
+    key_lo, key_hi = np.searchsorted(keys, bounds)
+    seen_lo, seen_hi = np.searchsorted(seen, bounds)
     test_items: dict[int, np.ndarray] = {}
     masks: dict[int, np.ndarray] = {}
-    for user, items in _snapshot_user_items(test_snapshot).items():
-        test_items[user] = np.array(sorted(i - n_users for i in items), dtype=np.int64)
+    for user, lo, hi, s_lo, s_hi in zip(
+        test_users.tolist(), key_lo, key_hi, seen_lo, seen_hi
+    ):
+        test_items[user] = keys[lo:hi] - user * n_items
         mask = np.zeros(n_items, dtype=bool)
-        if user in seen:
-            mask[np.fromiter(seen[user], dtype=np.int64) - n_users] = True
+        mask[seen[s_lo:s_hi] - user * n_items] = True
         masks[user] = mask
     return test_items, masks
 
@@ -181,6 +190,60 @@ def _ensure_pretrained(
     return result.embeddings, result.log
 
 
+def _evaluate_cycle(
+    result: DynamicResult,
+    series: SnapshotSeries,
+    cfg: RunConfig,
+    k: int,
+    x: np.ndarray,
+    seen: np.ndarray,
+    started: float,
+    *,
+    gate: GateParams | None = None,
+    epochs: int = 0,
+    optimizer_steps: int = 0,
+    warning: str | None = None,
+) -> np.ndarray:
+    """Evaluate `x` for cycle k and append its record; returns the grown `seen`.
+
+    Items in training snapshot k become visible before evaluation on
+    snapshot k + 1, so they join the masked keys first.
+    """
+    n_users, n_items = series.n_users, series.n_items
+    train_snapshot = series.snapshots[k]
+    seen = np.sort(
+        np.concatenate([seen, _pair_keys(train_snapshot, n_users, n_items)])
+    )
+    test_items, masks = _eval_inputs(series.snapshots[k + 1], seen, n_users, n_items)
+    report = evaluate_users(
+        x, n_users, test_items, masks, cfg.k, _candidate_items(cfg, n_items, k)
+    )
+    tuned_users, _ = split_tuned_untuned(
+        set(report.users), set(train_snapshot[:, 0].tolist())
+    )
+    elapsed = 0.0 if cfg.deterministic else time.perf_counter() - started
+    record = {
+        "cycle": k + 1,
+        "train_snapshot": k + 1,
+        "test_snapshot": k + 2,
+        "n_train_edges": len(train_snapshot),
+        "n_eval_users": report.n_users,
+        "recall": report.mean_recall(),
+        "ndcg": report.mean_ndcg(),
+        "epochs": epochs,
+        "wall_time": elapsed,
+        "warning": warning,
+    }
+    record.update(_grouped(report, tuned_users))
+    result.records.append(record)
+    result.cycles.append(
+        CycleArtifacts(
+            embeddings=x, gate=gate, report=report, optimizer_steps=optimizer_steps
+        )
+    )
+    return seen
+
+
 def run_dynamic(
     series: SnapshotSeries,
     cfg: RunConfig,
@@ -200,15 +263,9 @@ def run_dynamic(
     result = DynamicResult(pretrain_log=pretrain_log, pretrained=x_p)
     n_users, n_items = series.n_users, series.n_items
     buffer = WindowBuffer(cfg.omega)
+    seen = _pair_keys(series.pretrain.edges(), n_users, n_items)
 
-    seen: dict[int, set[int]] = {}
-    for user in range(n_users):
-        items = series.pretrain.user_items(user)
-        if items.size:
-            seen[user] = set(items.tolist())
-
-    n_cycles = series.n_snapshots - 1
-    for k in range(n_cycles):
+    for k in range(series.n_snapshots - 1):
         started = time.perf_counter()
         train_snapshot = series.snapshots[k]
         warning = None
@@ -238,7 +295,7 @@ def run_dynamic(
         gate = None
         epochs_run = 0
         opt_steps = 0
-        if not train_snapshot:
+        if len(train_snapshot) == 0:
             warning = "empty training snapshot; adaptation skipped"
             x_n = x_n0
         else:
@@ -262,39 +319,18 @@ def run_dynamic(
                 epochs_run = len(tuned_result.log)
                 opt_steps = tuned_result.optimizer_steps
 
-        # items in the training snapshot become visible before evaluation
-        for edge in train_snapshot:
-            seen.setdefault(edge.user, set()).add(edge.item)
-
-        test_items, masks = _eval_inputs(
-            series.snapshots[k + 1], seen, n_users, n_items
-        )
-        report = evaluate_users(
-            x_n, n_users, test_items, masks, cfg.k, _candidate_items(cfg, n_items, k)
-        )
-        tuned_users, _ = split_tuned_untuned(
-            set(report.users), {e.user for e in train_snapshot}
-        )
-
-        elapsed = 0.0 if cfg.deterministic else time.perf_counter() - started
-        record = {
-            "cycle": k + 1,
-            "train_snapshot": k + 1,
-            "test_snapshot": k + 2,
-            "n_train_edges": len(train_snapshot),
-            "n_eval_users": report.n_users,
-            "recall": report.mean_recall(),
-            "ndcg": report.mean_ndcg(),
-            "epochs": epochs_run,
-            "wall_time": elapsed,
-            "warning": warning,
-        }
-        record.update(_grouped(report, tuned_users))
-        result.records.append(record)
-        result.cycles.append(
-            CycleArtifacts(
-                embeddings=x_n, gate=gate, report=report, optimizer_steps=opt_steps
-            )
+        seen = _evaluate_cycle(
+            result,
+            series,
+            cfg,
+            k,
+            x_n,
+            seen,
+            started,
+            gate=gate,
+            epochs=epochs_run,
+            optimizer_steps=opt_steps,
+            warning=warning,
         )
         buffer.push(x_n)
     return result
@@ -313,47 +349,13 @@ def run_frozen(
     """
     x_p, pretrain_log = _ensure_pretrained(series, cfg, pretrained)
     result = DynamicResult(pretrain_log=pretrain_log, pretrained=x_p)
-    n_users, n_items = series.n_users, series.n_items
 
     weights_p = build_weights(
         apply_temporal(series.pretrain, cfg.tau_seconds), no_temporal=cfg.no_temporal
     )
     z_p = forward(weights_p, x_p, cfg.layers)
 
-    seen: dict[int, set[int]] = {}
-    for user in range(n_users):
-        items = series.pretrain.user_items(user)
-        if items.size:
-            seen[user] = set(items.tolist())
-
+    seen = _pair_keys(series.pretrain.edges(), series.n_users, series.n_items)
     for k in range(series.n_snapshots - 1):
-        started = time.perf_counter()
-        train_snapshot = series.snapshots[k]
-        for edge in train_snapshot:
-            seen.setdefault(edge.user, set()).add(edge.item)
-        test_items, masks = _eval_inputs(
-            series.snapshots[k + 1], seen, n_users, n_items
-        )
-        report = evaluate_users(
-            z_p, n_users, test_items, masks, cfg.k, _candidate_items(cfg, n_items, k)
-        )
-        tuned_users, _ = split_tuned_untuned(
-            set(report.users), {e.user for e in train_snapshot}
-        )
-        elapsed = 0.0 if cfg.deterministic else time.perf_counter() - started
-        record = {
-            "cycle": k + 1,
-            "train_snapshot": k + 1,
-            "test_snapshot": k + 2,
-            "n_train_edges": len(train_snapshot),
-            "n_eval_users": report.n_users,
-            "recall": report.mean_recall(),
-            "ndcg": report.mean_ndcg(),
-            "epochs": 0,
-            "wall_time": elapsed,
-            "warning": None,
-        }
-        record.update(_grouped(report, tuned_users))
-        result.records.append(record)
-        result.cycles.append(CycleArtifacts(embeddings=z_p, gate=None, report=report))
+        seen = _evaluate_cycle(result, series, cfg, k, z_p, seen, time.perf_counter())
     return result

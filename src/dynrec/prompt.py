@@ -23,9 +23,9 @@ from typing import Sequence
 import numpy as np
 from scipy.special import expit
 
-from .data import Interaction, InteractionGraph, apply_temporal, build_graph
+from .data import InteractionGraph, apply_temporal, build_graph
 from .propagation import build_weights, forward, forward_backward
-from .training import Adam, TrainConfig, sample_negatives
+from .training import Adam, TrainConfig, bpr_grad_final, sample_negatives
 
 
 @dataclass(frozen=True)
@@ -91,18 +91,19 @@ def snapshot_retention(n: int, phi: float) -> np.ndarray:
 
 def build_prompt_graph(
     pretrain_graph: InteractionGraph,
-    snapshots: Sequence[Sequence[Interaction]],
+    snapshots: Sequence[np.ndarray],
     phi: float,
     rng: np.random.Generator,
     tau: float,
 ) -> InteractionGraph:
     """Merge pre-training edges with retention-subsampled snapshot edges.
 
-    Each snapshot keeps round(retention * |edges|) edges, drawn without
-    replacement; the union (pre-training edges included, duplicates keeping
-    the latest timestamp) is rebuilt into a graph with temporal attributes.
+    Each snapshot keeps round(retention * |edges|) rows, drawn without
+    replacement by position in the snapshot; the union (pre-training edges
+    included, duplicates keeping the latest timestamp) is rebuilt into a
+    graph with temporal attributes.
     """
-    edges: list[Interaction] = pretrain_graph.interactions()
+    parts = [pretrain_graph.edges()]
     ret = snapshot_retention(len(snapshots), phi)
     for frac, snap in zip(ret, snapshots):
         n_edges = len(snap)
@@ -110,11 +111,12 @@ def build_prompt_graph(
         if n_keep == 0:
             continue
         if n_keep >= n_edges:
-            edges.extend(snap)
+            parts.append(snap)
             continue
-        chosen = rng.choice(n_edges, size=n_keep, replace=False)
-        edges.extend(snap[int(c)] for c in chosen)
-    graph = build_graph(edges, pretrain_graph.n_users, pretrain_graph.n_items)
+        parts.append(snap[rng.choice(n_edges, size=n_keep, replace=False)])
+    graph = build_graph(
+        np.concatenate(parts), pretrain_graph.n_users, pretrain_graph.n_items
+    )
     return apply_temporal(graph, tau)
 
 
@@ -173,15 +175,7 @@ def finetune(
             gate = GateParams(w=gate_w, b=gate_b)
             x_g = apply_gate(x_in, gate)
             z = forward(weights, x_g, n_layers)
-            u, i, j = triples[:, 0], triples[:, 1], triples[:, 2]
-            zu, zi, zj = z[u], z[i], z[j]
-            s = np.einsum("nd,nd->n", zu, zi - zj)
-            loss = float(np.sum(np.logaddexp(0.0, -s)))
-            coef = expit(-s)[:, None]
-            grad_z = np.zeros_like(z)
-            np.add.at(grad_z, u, -coef * (zi - zj))
-            np.add.at(grad_z, i, -coef * zu)
-            np.add.at(grad_z, j, coef * zu)
+            loss, grad_z = bpr_grad_final(z, triples)
             upstream = forward_backward(weights, grad_z, n_layers)
             grad_w, grad_b = gate_gradients(x_in, gate, upstream)
             if cfg.l2_reg > 0.0:

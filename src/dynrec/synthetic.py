@@ -18,9 +18,8 @@ Two families:
 
 from __future__ import annotations
 
-from collections import defaultdict
+import numpy as np
 
-from .data import Interaction
 from .rng import seed_stream
 
 DAY_SECONDS = 86_400
@@ -33,12 +32,13 @@ def planted_blocks(
     per_user: int,
     seed: int,
     span_seconds: int = 5 * DAY_SECONDS,
-) -> list[Interaction]:
+) -> np.ndarray:
     """Static block-aligned log: each user samples items from their own block.
 
     `n_users` and `n_items` must divide evenly into `n_blocks`. Each user
     gets `per_user` distinct items (capped at the block size) at uniform
-    random timestamps in [0, span_seconds).
+    random timestamps in [0, span_seconds). Returns an (E, 3) int64 array
+    of (user, item, ts_unix) rows.
     """
     if n_users % n_blocks or n_items % n_blocks:
         raise ValueError("n_users and n_items must be divisible by n_blocks")
@@ -46,37 +46,37 @@ def planted_blocks(
     items_per_block = n_items // n_blocks
     take = min(per_user, items_per_block)
     rng = seed_stream(seed, "synthetic-blocks")
-    log: list[Interaction] = []
+    log: list[tuple[int, int, int]] = []
     for user in range(n_users):
         block = user // users_per_block
         base = block * items_per_block
         items = rng.choice(items_per_block, size=take, replace=False)
         stamps = rng.integers(0, span_seconds, size=take)
         for item, ts in zip(items, stamps):
-            log.append(Interaction(user, base + int(item), int(ts)))
-    return log
+            log.append((user, base + int(item), int(ts)))
+    return np.array(log, dtype=np.int64).reshape(-1, 3)
 
 
 def split_by_user(
-    interactions: list[Interaction], test_fraction: float, seed: int
-) -> tuple[list[Interaction], list[Interaction]]:
-    """Per-user random holdout; users with a single edge stay train-only."""
+    edges: np.ndarray, test_fraction: float, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-user random holdout; users with a single edge stay train-only.
+
+    Both halves list their rows by ascending user, in input order within a
+    user.
+    """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must lie in (0, 1)")
-    by_user: dict[int, list[Interaction]] = defaultdict(list)
-    for x in interactions:
-        by_user[x.user].append(x)
+    edges = edges[np.argsort(edges[:, 0], kind="stable")]
+    _, starts, degrees = np.unique(edges[:, 0], return_index=True, return_counts=True)
     rng = seed_stream(seed, "synthetic-split")
-    train: list[Interaction] = []
-    test: list[Interaction] = []
-    for user in sorted(by_user):
-        edges = by_user[user]
-        deg = len(edges)
-        n_test = min(deg - 1, max(1, int(deg * test_fraction))) if deg >= 2 else 0
-        held = set(rng.choice(deg, size=n_test, replace=False).tolist()) if n_test else set()
-        for pos, edge in enumerate(edges):
-            (test if pos in held else train).append(edge)
-    return train, test
+    held = np.zeros(len(edges), dtype=bool)
+    for lo, deg in zip(starts.tolist(), degrees.tolist()):
+        if deg < 2:
+            continue
+        n_test = min(deg - 1, max(1, int(deg * test_fraction)))
+        held[lo + rng.choice(deg, size=n_test, replace=False)] = True
+    return edges[~held], edges[held]
 
 
 def drift_series(
@@ -88,7 +88,7 @@ def drift_series(
     stale_per_day: int = 3,
     lead_per_day: int = 1,
     seed: int = 0,
-) -> list[Interaction]:
+) -> np.ndarray:
     """Rotating-preference log where within-day recency carries the signal.
 
     Block affinities rotate one item block per day, through the pre-training
@@ -98,11 +98,12 @@ def drift_series(
     hours) with the block that becomes hot tomorrow. Tomorrow's bulk is
     today's lead block, so a model that up-weights a neighborhood's most
     recent edges tracks the rotation, while uniform weighting stays pinned
-    to the outgoing block by sheer edge count.
+    to the outgoing block by sheer edge count. Returns an (E, 3) int64
+    array of (user, item, ts_unix) rows.
     """
     n_users = n_blocks * users_per_block
     rng = seed_stream(seed, "synthetic-drift")
-    log: list[Interaction] = []
+    log: list[tuple[int, int, int]] = []
     for day in range(pretrain_days + snapshot_days):
         day_start = day * DAY_SECONDS
         for user in range(n_users):
@@ -111,17 +112,17 @@ def drift_series(
                 f = 0.30 * rng.random()
                 base = ((block + day) % n_blocks) * items_per_block
                 item = base + int(rng.integers(0, items_per_block))
-                log.append(Interaction(user, item, day_start + int(f * DAY_SECONDS)))
+                log.append((user, item, day_start + int(f * DAY_SECONDS)))
             for _ in range(lead_per_day):
                 f = 0.85 + 0.15 * rng.random()
                 base = ((block + day + 1) % n_blocks) * items_per_block
                 item = base + int(rng.integers(0, items_per_block))
-                log.append(Interaction(user, item, day_start + int(f * DAY_SECONDS)))
-    return log
+                log.append((user, item, day_start + int(f * DAY_SECONDS)))
+    return np.array(log, dtype=np.int64).reshape(-1, 3)
 
 
-def write_tsv(path: str, interactions: list[Interaction]) -> None:
-    """Write a log in the `user<TAB>item<TAB>ts_unix` input format."""
+def write_tsv(path: str, edges: np.ndarray) -> None:
+    """Write an (E, 3) edge array in the `user<TAB>item<TAB>ts_unix` input format."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for x in interactions:
-            fh.write(f"{x.user}\t{x.item}\t{x.ts_unix}\n")
+        for user, item, ts in edges.tolist():
+            fh.write(f"{user}\t{item}\t{ts}\n")

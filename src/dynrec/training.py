@@ -161,6 +161,24 @@ def bpr_loss(
     return loss
 
 
+def bpr_grad_final(z: np.ndarray, triples: np.ndarray) -> tuple[float, np.ndarray]:
+    """Pairwise ranking loss over final embeddings `z` and its gradient w.r.t. `z`.
+
+    Each triple's score gradient is scattered onto its user, positive and
+    negative rows; rows repeated across triples accumulate.
+    """
+    u, i, j = triples[:, 0], triples[:, 1], triples[:, 2]
+    zu, zi, zj = z[u], z[i], z[j]
+    s = np.einsum("nd,nd->n", zu, zi - zj)
+    loss = float(np.sum(np.logaddexp(0.0, -s)))
+    coef = expit(-s)[:, None]  # -dL/ds for each triple
+    grad_z = np.zeros_like(z)
+    np.add.at(grad_z, u, -coef * (zi - zj))
+    np.add.at(grad_z, i, -coef * zu)
+    np.add.at(grad_z, j, coef * zu)
+    return loss, grad_z
+
+
 def bpr_gradients(
     weights: PropagationWeights,
     x0: np.ndarray,
@@ -175,16 +193,7 @@ def bpr_gradients(
     result back through propagation with the adjoint pass, then add the L2
     contribution, which acts on the initial table directly.
     """
-    z = forward(weights, x0, n_layers)
-    u, i, j = triples[:, 0], triples[:, 1], triples[:, 2]
-    zu, zi, zj = z[u], z[i], z[j]
-    s = np.einsum("nd,nd->n", zu, zi - zj)
-    loss = float(np.sum(np.logaddexp(0.0, -s)))
-    coef = expit(-s)[:, None]  # -dL/ds for each triple
-    grad_z = np.zeros_like(z)
-    np.add.at(grad_z, u, -coef * (zi - zj))
-    np.add.at(grad_z, i, -coef * zu)
-    np.add.at(grad_z, j, coef * zu)
+    loss, grad_z = bpr_grad_final(forward(weights, x0, n_layers), triples)
     grad_x0 = forward_backward(weights, grad_z, n_layers)
     if l2_reg > 0.0:
         rows = triples.ravel()
@@ -195,35 +204,25 @@ def bpr_gradients(
 
 def holdout_split(
     graph: InteractionGraph, val_fraction: float, rng: np.random.Generator
-) -> tuple[list, dict[int, np.ndarray]]:
+) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     """Per-user split of edges into training and held-out validation items.
 
     Users keep at least one training edge; single-edge users contribute
-    nothing to validation. Returns the surviving training edges and a map
-    from user to held-out local item ids.
+    nothing to validation. Returns the surviving training edges as an (E, 3)
+    array in canonical order and a map from user to held-out local item ids.
     """
-    train_edges = []
+    keep = np.ones(graph.n_edges, dtype=bool)
     val_items: dict[int, np.ndarray] = {}
-    all_edges = graph.interactions()
     for user in range(graph.n_users):
-        lo, hi = graph.ui_indptr[user], graph.ui_indptr[user + 1]
-        deg = int(hi - lo)
-        if deg == 0:
+        lo, hi = int(graph.ui_indptr[user]), int(graph.ui_indptr[user + 1])
+        deg = hi - lo
+        if deg < 2:
             continue
-        n_val = min(deg - 1, max(1, int(deg * val_fraction))) if deg >= 2 else 0
-        edges = all_edges[lo:hi]
-        if n_val == 0:
-            train_edges.extend(edges)
-            continue
-        held = set(rng.choice(deg, size=n_val, replace=False).tolist())
-        locals_ = []
-        for pos, edge in enumerate(edges):
-            if pos in held:
-                locals_.append(edge.item - graph.n_users)
-            else:
-                train_edges.append(edge)
-        val_items[user] = np.array(sorted(locals_), dtype=np.int64)
-    return train_edges, val_items
+        n_val = min(deg - 1, max(1, int(deg * val_fraction)))
+        held = lo + rng.choice(deg, size=n_val, replace=False)
+        keep[held] = False
+        val_items[user] = np.sort(graph.edge_item[held] - graph.n_users)
+    return graph.edges()[keep], val_items
 
 
 @dataclass

@@ -10,8 +10,6 @@ import math
 
 import numpy as np
 
-from dynrec.data import Interaction
-
 
 def rel_err(a, b) -> float:
     """Worst-case relative disagreement with a floor on the denominator."""
@@ -131,8 +129,9 @@ def random_bipartite_edges(
     ]
 
 
-def edges_to_interactions(edges: list[tuple[int, int, int]]) -> list[Interaction]:
-    return [Interaction(u, gi, ts) for u, gi, ts in edges]
+def edge_array(edges: list[tuple[int, int, int]]) -> np.ndarray:
+    """(user, item, ts) tuples as the package's (E, 3) int64 edge array."""
+    return np.array(edges, dtype=np.int64).reshape(-1, 3)
 
 
 def central_difference(fn, array: np.ndarray, h: float = 1e-5) -> np.ndarray:

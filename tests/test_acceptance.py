@@ -49,7 +49,7 @@ from helpers import (
     central_difference,
     dense_forward,
     dense_operator,
-    edges_to_interactions,
+    edge_array,
     random_bipartite_edges,
     rel_err,
 )
@@ -84,7 +84,7 @@ def test_criterion_01_propagation_oracle(capsys):
         rng, n_users, n_items, edges, tau = _random_graph_case(seed, 25)
         no_temporal = seed % 4 == 3
         graph = apply_temporal(
-            build_graph(edges_to_interactions(edges), n_users, n_items), tau
+            build_graph(edge_array(edges), n_users, n_items), tau
         )
         weights = build_weights(graph, no_temporal=no_temporal)
         mat = dense_operator(edges, n_users, n_items, tau, no_temporal=no_temporal)
@@ -136,7 +136,7 @@ def test_criterion_02_temporal_softmax(capsys):
     for seed in range(100):
         _, n_users, n_items, edges, tau = _random_graph_case(seed, 25, min_edges=1)
         graph = apply_temporal(
-            build_graph(edges_to_interactions(edges), n_users, n_items), tau
+            build_graph(edge_array(edges), n_users, n_items), tau
         )
         alpha_ui, alpha_iu = temporal_softmax(graph)
         t = graph.edge_time_norm
@@ -198,7 +198,7 @@ def test_criterion_03_gradient_suite(capsys):
         tau = float(rng.uniform(60.0, 100_000.0))
         no_temporal = seed % 5 == 4
         graph = apply_temporal(
-            build_graph(edges_to_interactions(edges), n_users, n_items), tau
+            build_graph(edge_array(edges), n_users, n_items), tau
         )
         weights = build_weights(graph, no_temporal=no_temporal)
 
@@ -274,7 +274,7 @@ def test_criterion_04_formula_exactness(capsys):
         n_edges = int(rng.integers(1, n_users * n_items + 1))
         edges = random_bipartite_edges(rng, n_users, n_items, n_edges)
         tau = float(rng.uniform(1.0, 200_000.0))
-        g = build_graph(edges_to_interactions(edges), n_users, n_items)
+        g = build_graph(edge_array(edges), n_users, n_items)
         got = relative_timesteps(g, tau).tolist()
         lo = int(g.edge_ts.min())
         want = [math.floor((int(ts) - lo) / tau) for ts in g.edge_ts]
@@ -425,7 +425,7 @@ def test_criterion_06_parameter_efficiency(capsys, monkeypatch):
         for u in range(6)
         for item in rng.choice(7, size=4, replace=False)
     ]
-    graph = apply_temporal(build_graph(edges_to_interactions(edges), 6, 7), 3600.0)
+    graph = apply_temporal(build_graph(edge_array(edges), 6, 7), 3600.0)
     x_in = rng.normal(0.0, 0.3, size=(13, d))
     before = x_in.tobytes()
 
@@ -489,7 +489,7 @@ def test_criterion_07_synthetic_learnability(capsys):
     started = time.perf_counter()
     log = planted_blocks(n_users=200, n_items=200, n_blocks=8, per_user=10, seed=3)
     train, test = split_by_user(log, 0.2, seed=3)
-    vocab = Vocabulary.from_interactions(log)
+    vocab = Vocabulary.from_edges(log)
     n_users, n_items = vocab.n_users, vocab.n_items
     train_graph = build_graph(vocab.encode(train), n_users, n_items)
 
@@ -508,8 +508,8 @@ def test_criterion_07_synthetic_learnability(capsys):
     z = forward(weights, result.embeddings, 3)
     test_items: dict[int, np.ndarray] = {}
     masks: dict[int, np.ndarray] = {}
-    for edge in vocab.encode(test):
-        test_items.setdefault(edge.user, []).append(edge.item - n_users)
+    for user, item, _ in vocab.encode(test).tolist():
+        test_items.setdefault(user, []).append(item - n_users)
     for user in list(test_items):
         test_items[user] = np.array(sorted(test_items[user]), dtype=np.int64)
         mask = np.zeros(n_items, dtype=bool)

@@ -9,26 +9,24 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import edge_array
+
 from dynrec.data import (
-    Interaction,
     Vocabulary,
     apply_temporal,
     build_graph,
     ingest_interactions,
-    interactions_to_arrays,
     load_interactions,
     normalize_times,
     relative_timesteps,
     segment_snapshots,
 )
 
-interaction_lists = st.lists(
-    st.tuples(
-        st.integers(0, 6), st.integers(0, 6), st.integers(0, 1000)
-    ).map(lambda t: Interaction(*t)),
+interaction_arrays = st.lists(
+    st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 1000)),
     min_size=1,
     max_size=40,
-)
+).map(edge_array)
 
 
 # -- parsing ---------------------------------------------------------------
@@ -36,27 +34,25 @@ interaction_lists = st.lists(
 
 def test_ingest_parses_tab_separated_lines_in_order():
     text = "5\t9\t100\n2\t9\t50\n5\t7\t200\n"
-    interactions, vocab = ingest_interactions(io.StringIO(text))
-    assert interactions == [
-        Interaction(5, 9, 100),
-        Interaction(2, 9, 50),
-        Interaction(5, 7, 200),
-    ]
+    edges, vocab = ingest_interactions(io.StringIO(text))
+    assert edges.dtype == np.int64
+    assert np.array_equal(edges, [[5, 9, 100], [2, 9, 50], [5, 7, 200]])
     # raw ids are remapped in sorted order: users {2, 5}, items {7, 9}
-    assert vocab.user_index == {2: 0, 5: 1}
-    assert vocab.item_index == {7: 2, 9: 3}
+    assert vocab.users.tolist() == [2, 5]
+    assert vocab.items.tolist() == [7, 9]
     assert vocab.n_users == 2 and vocab.n_items == 2 and vocab.n_nodes == 4
 
 
 def test_ingest_accepts_bytes_and_skips_blank_lines():
     raw = io.BytesIO(b"1\t2\t3\n\n   \n4\t5\t6\n")
-    interactions, _ = ingest_interactions(raw)
-    assert len(interactions) == 2
+    edges, _ = ingest_interactions(raw)
+    assert len(edges) == 2
 
 
 def test_ingest_empty_input_yields_empty_log():
-    interactions, vocab = ingest_interactions(io.StringIO(""))
-    assert interactions == [] and vocab.n_nodes == 0
+    edges, vocab = ingest_interactions(io.StringIO(""))
+    assert edges.shape == (0, 3) and edges.dtype == np.int64
+    assert vocab.n_nodes == 0
 
 
 @pytest.mark.parametrize(
@@ -67,6 +63,7 @@ def test_ingest_empty_input_yields_empty_log():
         ("1\t2\t3\nx\t2\t3\n", 2),
         ("1\t2\t-3\n", 1),
         ("1 2 3\n", 1),
+        ("1\t2\t3\n1\t99999999999999999999\t3\n", 2),
     ],
 )
 def test_ingest_rejects_malformed_lines_with_line_number(text, lineno):
@@ -77,30 +74,29 @@ def test_ingest_rejects_malformed_lines_with_line_number(text, lineno):
 def test_load_interactions_round_trips_a_file(tmp_path):
     path = tmp_path / "log.tsv"
     path.write_text("0\t1\t10\n1\t1\t20\n")
-    interactions, vocab = load_interactions(str(path))
-    assert len(interactions) == 2 and vocab.n_users == 2 and vocab.n_items == 1
+    edges, vocab = load_interactions(str(path))
+    assert len(edges) == 2 and vocab.n_users == 2 and vocab.n_items == 1
 
 
 def test_vocabulary_encode_maps_into_global_id_space():
-    log = [Interaction(10, 100, 1), Interaction(20, 200, 2)]
-    vocab = Vocabulary.from_interactions(log)
+    log = edge_array([(10, 100, 1), (20, 200, 2)])
+    vocab = Vocabulary.from_edges(log)
     encoded = vocab.encode(log)
-    assert [x.user for x in encoded] == [0, 1]
-    assert [x.item for x in encoded] == [2, 3]  # items offset by n_users
-    assert [x.ts_unix for x in encoded] == [1, 2]
-
-
-def test_interactions_to_arrays_handles_empty():
-    u, i, t = interactions_to_arrays([])
-    assert u.size == i.size == t.size == 0
-    assert u.dtype == np.int64
+    assert encoded[:, 0].tolist() == [0, 1]
+    assert encoded[:, 1].tolist() == [2, 3]  # items offset by n_users
+    assert encoded[:, 2].tolist() == [1, 2]
+    # ids outside the vocabulary are refused, not mapped to a neighbour
+    with pytest.raises(ValueError, match="vocabulary"):
+        vocab.encode(edge_array([(15, 100, 1)]))
+    with pytest.raises(ValueError, match="vocabulary"):
+        vocab.encode(edge_array([(10, 300, 1)]))
 
 
 # -- graph construction ----------------------------------------------------
 
 
 def test_build_graph_sorts_edges_canonically():
-    edges = [Interaction(1, 3, 5), Interaction(0, 4, 1), Interaction(0, 2, 9)]
+    edges = edge_array([(1, 3, 5), (0, 4, 1), (0, 2, 9)])
     g = build_graph(edges, n_users=2, n_items=3)
     assert g.edge_user.tolist() == [0, 0, 1]
     assert g.edge_item.tolist() == [2, 4, 3]
@@ -108,22 +104,14 @@ def test_build_graph_sorts_edges_canonically():
 
 
 def test_build_graph_collapses_duplicates_keeping_latest_timestamp():
-    edges = [
-        Interaction(0, 1, 50),
-        Interaction(0, 1, 99),
-        Interaction(0, 1, 10),
-    ]
+    edges = edge_array([(0, 1, 50), (0, 1, 99), (0, 1, 10)])
     g = build_graph(edges, n_users=1, n_items=1)
     assert g.n_edges == 1
     assert g.edge_ts.tolist() == [99]
 
 
 def test_build_graph_neighbor_queries():
-    edges = [
-        Interaction(0, 2, 1),
-        Interaction(0, 3, 2),
-        Interaction(1, 3, 3),
-    ]
+    edges = edge_array([(0, 2, 1), (0, 3, 2), (1, 3, 3)])
     g = build_graph(edges, n_users=2, n_items=2)
     assert g.user_items(0).tolist() == [2, 3]
     assert g.user_items(1).tolist() == [3]
@@ -136,24 +124,24 @@ def test_build_graph_neighbor_queries():
 
 def test_build_graph_rejects_out_of_range_ids():
     with pytest.raises(ValueError, match="user id"):
-        build_graph([Interaction(3, 3, 0)], n_users=2, n_items=2)
+        build_graph(edge_array([(3, 3, 0)]), n_users=2, n_items=2)
     with pytest.raises(ValueError, match="item id"):
-        build_graph([Interaction(0, 1, 0)], n_users=2, n_items=2)
+        build_graph(edge_array([(0, 1, 0)]), n_users=2, n_items=2)
 
 
 def test_build_graph_empty_edge_list():
-    g = build_graph([], n_users=3, n_items=2)
+    g = build_graph(edge_array([]), n_users=3, n_items=2)
     assert g.n_edges == 0
     assert g.ui_indptr.tolist() == [0, 0, 0, 0]
     assert g.iu_indptr.tolist() == [0, 0, 0]
 
 
-@given(interaction_lists)
+@given(interaction_arrays)
 def test_graph_invariants(raw):
-    vocab = Vocabulary.from_interactions(raw)
+    vocab = Vocabulary.from_edges(raw)
     g = build_graph(vocab.encode(raw), vocab.n_users, vocab.n_items)
     # one edge per distinct (user, item) pair
-    assert g.n_edges == len({(x.user, x.item) for x in raw})
+    assert g.n_edges == len({(u, i) for u, i, _ in raw.tolist()})
     # indptrs are monotone and bound the edge array
     assert np.all(np.diff(g.ui_indptr) >= 0) and g.ui_indptr[-1] == g.n_edges
     assert np.all(np.diff(g.iu_indptr) >= 0) and g.iu_indptr[-1] == g.n_edges
@@ -167,14 +155,14 @@ def test_graph_invariants(raw):
         assert users.tolist() == sorted(users.tolist())
 
 
-@given(interaction_lists)
+@given(interaction_arrays)
 def test_graph_keeps_latest_timestamp_per_pair(raw):
-    vocab = Vocabulary.from_interactions(raw)
+    vocab = Vocabulary.from_edges(raw)
     g = build_graph(vocab.encode(raw), vocab.n_users, vocab.n_items)
     latest: dict[tuple[int, int], int] = {}
-    for x in vocab.encode(raw):
-        key = (x.user, x.item)
-        latest[key] = max(latest.get(key, -1), x.ts_unix)
+    for user, item, ts in vocab.encode(raw).tolist():
+        key = (user, item)
+        latest[key] = max(latest.get(key, -1), ts)
     got = {
         (int(u), int(i)): int(t)
         for u, i, t in zip(g.edge_user, g.edge_item, g.edge_ts)
@@ -187,7 +175,7 @@ def test_graph_keeps_latest_timestamp_per_pair(raw):
 
 def test_relative_timesteps_floor_formula():
     g = build_graph(
-        [Interaction(0, 1, 100), Interaction(0, 2, 130), Interaction(0, 3, 260)],
+        edge_array([(0, 1, 100), (0, 2, 130), (0, 3, 260)]),
         n_users=1,
         n_items=3,
     )
@@ -196,7 +184,7 @@ def test_relative_timesteps_floor_formula():
 
 
 def test_relative_timesteps_requires_positive_tau():
-    g = build_graph([Interaction(0, 1, 0)], 1, 1)
+    g = build_graph(edge_array([(0, 1, 0)]), 1, 1)
     with pytest.raises(ValueError):
         relative_timesteps(g, 0.0)
 
@@ -220,7 +208,7 @@ def test_normalize_times_range_and_extremes(steps):
 
 
 def test_apply_temporal_attaches_attributes():
-    g = build_graph([Interaction(0, 1, 0), Interaction(0, 2, 3600)], 1, 2)
+    g = build_graph(edge_array([(0, 1, 0), (0, 2, 3600)]), 1, 2)
     assert g.edge_step is None and g.edge_time_norm is None
     gt = apply_temporal(g, 3600.0)
     assert gt.edge_step.tolist() == [0, 1]
@@ -230,15 +218,15 @@ def test_apply_temporal_attaches_attributes():
 
 
 def test_apply_temporal_empty_graph():
-    gt = apply_temporal(build_graph([], 1, 1), 60.0)
+    gt = apply_temporal(build_graph(edge_array([]), 1, 1), 60.0)
     assert gt.edge_step.size == 0 and gt.edge_time_norm.size == 0
 
 
 # -- segmentation ----------------------------------------------------------
 
 
-def _log_at(stamps: list[int]) -> list[Interaction]:
-    return [Interaction(k % 3, 100 + k % 4, ts) for k, ts in enumerate(stamps)]
+def _log_at(stamps: list[int]) -> np.ndarray:
+    return edge_array([(k % 3, 100 + k % 4, ts) for k, ts in enumerate(stamps)])
 
 
 def test_segment_snapshots_boundaries_and_buckets():
@@ -254,8 +242,21 @@ def test_segment_snapshots_boundaries_and_buckets():
     assert [len(s) for s in series.snapshots] == [2, 1, 0, 1]
 
 
+def test_segment_snapshots_keep_input_order_inside_a_bucket():
+    # pretrain [0, 100); buckets [100, 150) and [150, 200) whose rows arrive
+    # interleaved and out of timestamp order
+    log = edge_array(
+        [(0, 10, 0), (2, 12, 190), (0, 11, 120), (1, 10, 149), (1, 12, 101), (0, 12, 160)]
+    )
+    series = segment_snapshots(log, pretrain_span=100, granularity=50)
+    # global ids: users 0..2, items 10, 11, 12 -> 3, 4, 5
+    assert series.n_snapshots == 2
+    assert np.array_equal(series.snapshots[0], [[0, 4, 120], [1, 3, 149], [1, 5, 101]])
+    assert np.array_equal(series.snapshots[1], [[2, 5, 190], [0, 5, 160]])
+
+
 def test_segment_snapshots_vocabulary_covers_whole_log():
-    log = [Interaction(0, 10, 0), Interaction(1, 11, 500)]
+    log = edge_array([(0, 10, 0), (1, 11, 500)])
     series = segment_snapshots(log, pretrain_span=100, granularity=100)
     # user 1 / item 11 appear only after the pre-training span but still get ids
     assert series.n_users == 2 and series.n_items == 2
@@ -274,11 +275,11 @@ def test_segment_snapshots_manifest_summary():
 
 def test_segment_snapshots_errors():
     with pytest.raises(ValueError, match="no interactions"):
-        segment_snapshots([], 10, 10)
+        segment_snapshots(edge_array([]), 10, 10)
     with pytest.raises(ValueError, match="no snapshots remain"):
-        segment_snapshots([Interaction(0, 1, 5)], pretrain_span=10, granularity=10)
+        segment_snapshots(edge_array([(0, 1, 5)]), pretrain_span=10, granularity=10)
     with pytest.raises(ValueError, match="positive"):
-        segment_snapshots([Interaction(0, 1, 5)], pretrain_span=0, granularity=10)
+        segment_snapshots(edge_array([(0, 1, 5)]), pretrain_span=0, granularity=10)
 
 
 @given(
@@ -296,12 +297,11 @@ def test_segment_snapshots_partition(stamps, span, gran):
     series = segment_snapshots(log, span, gran)
     # every edge lands in exactly one piece
     total = series.pretrain.n_edges + sum(len(s) for s in series.snapshots)
-    distinct = len({(x.user, x.item) for x in series.pretrain.interactions()})
+    distinct = len({(u, i) for u, i, _ in series.pretrain.edges().tolist()})
     assert series.pretrain.n_edges == distinct  # pretrain graph deduplicates
     raw_pretrain = sum(1 for ts in stamps if ts < lo + span)
     assert sum(len(s) for s in series.snapshots) == len(stamps) - raw_pretrain
     assert total <= len(stamps)
     # snapshot k holds edges in [boundary_k - gran, boundary_k)
     for bound, snap in zip(series.boundaries, series.snapshots):
-        for edge in snap:
-            assert bound - gran <= edge.ts_unix < bound
+        assert np.all((bound - gran <= snap[:, 2]) & (snap[:, 2] < bound))

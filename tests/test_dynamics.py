@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dynrec.config import RunConfig
-from dynrec.data import Interaction, segment_snapshots
+from dynrec.data import segment_snapshots
 from dynrec.dynamics import (
     DynamicResult,
     WindowBuffer,
@@ -14,6 +14,7 @@ from dynrec.dynamics import (
     run_frozen,
 )
 from dynrec.synthetic import drift_series
+from helpers import edge_array
 
 RECORD_KEYS = {
     "cycle",
@@ -178,10 +179,10 @@ def test_empty_training_snapshot_skips_adaptation():
     log = []
     for user in range(4):
         for item, ts in ((100, 0), (101, 40), (102, 80)):
-            log.append(Interaction(user, item + user % 2, ts))
-        log.append(Interaction(user, 100 + (user + 1) % 3, 100 + user))
-        log.append(Interaction(user, 100 + (user + 2) % 3, 210 + user))
-    series = segment_snapshots(log, 100, 50)
+            log.append((user, item + user % 2, ts))
+        log.append((user, 100 + (user + 1) % 3, 100 + user))
+        log.append((user, 100 + (user + 2) % 3, 210 + user))
+    series = segment_snapshots(edge_array(log), 100, 50)
     assert [len(s) for s in series.snapshots] == [4, 0, 4]
     cfg = _small_cfg(
         d=4, pretrain_span_hours=100 / 3600, granularity_hours=50 / 3600, max_epochs=2, patience=2
@@ -195,12 +196,14 @@ def test_empty_training_snapshot_skips_adaptation():
 def test_masking_hides_previously_seen_items_during_evaluation():
     # user 0's only pre-training item would dominate scoring; once masked,
     # the fresh item must fill the single ranking slot
-    log = [
-        Interaction(0, 100, 0),  # pre-training
-        Interaction(0, 100, 100),  # training snapshot repeats the old item
-        Interaction(0, 100, 160),  # test snapshot: old item again ...
-        Interaction(0, 101, 170),  # ... plus one genuinely new item
-    ]
+    log = edge_array(
+        [
+            (0, 100, 0),  # pre-training
+            (0, 100, 100),  # training snapshot repeats the old item
+            (0, 100, 160),  # test snapshot: old item again ...
+            (0, 101, 170),  # ... plus one genuinely new item
+        ]
+    )
     series = segment_snapshots(log, 100, 50)
     cfg = _small_cfg(
         d=2,

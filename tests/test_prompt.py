@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dynrec.data import Interaction, apply_temporal, build_graph
+from dynrec.data import apply_temporal, build_graph
 from dynrec.propagation import build_weights, forward
 from dynrec.prompt import (
     GateParams,
@@ -20,7 +20,7 @@ from dynrec.prompt import (
 )
 from dynrec.rng import seed_stream
 from dynrec.training import TrainConfig, bpr_loss
-from helpers import central_difference, edges_to_interactions, rel_err
+from helpers import central_difference, edge_array, rel_err
 
 # frozen by hand: sigmoid(ln 3) = 3/4
 SIGMOID_LOG3 = 0.75
@@ -28,7 +28,7 @@ SIGMOID_LOG3 = 0.75
 
 def _graph(edges, n_users, n_items, tau=3600.0):
     return apply_temporal(
-        build_graph(edges_to_interactions(edges), n_users, n_items), tau
+        build_graph(edge_array(edges), n_users, n_items), tau
     )
 
 
@@ -127,13 +127,13 @@ def test_retention_bounds_and_direction(n, phi):
 def _snapshots():
     # item ids are global (offset by n_users = 2); disjoint from pretraining
     return [
-        (Interaction(0, 4, 1000), Interaction(1, 4, 1100)),
-        (Interaction(0, 5, 2000), Interaction(1, 5, 2100)),
+        edge_array([(0, 4, 1000), (1, 4, 1100)]),
+        edge_array([(0, 5, 2000), (1, 5, 2100)]),
     ]
 
 
 def test_build_prompt_graph_counts_with_full_retention():
-    pre = build_graph([Interaction(0, 2, 0), Interaction(1, 3, 10)], 2, 4)
+    pre = build_graph(edge_array([(0, 2, 0), (1, 3, 10)]), 2, 4)
     g = build_prompt_graph(pre, _snapshots(), phi=0.0, rng=seed_stream(0, "prompt"), tau=60.0)
     # phi=0 keeps every snapshot edge: 2 pretraining + 4 snapshot edges
     assert g.n_edges == 6
@@ -141,10 +141,10 @@ def test_build_prompt_graph_counts_with_full_retention():
 
 
 def test_build_prompt_graph_subsamples_older_snapshots():
-    pre = build_graph([Interaction(0, 2, 0), Interaction(1, 3, 10)], 2, 4)
+    pre = build_graph(edge_array([(0, 2, 0), (1, 3, 10)]), 2, 4)
     snaps = [
-        tuple(Interaction(0, 4, 1000 + k) for k in range(10)),
-        tuple(Interaction(1, 5, 2000 + k) for k in range(10)),
+        edge_array([(0, 4, 1000 + k) for k in range(10)]),
+        edge_array([(1, 5, 2000 + k) for k in range(10)]),
     ]
     g = build_prompt_graph(pre, snaps, phi=-0.5, rng=seed_stream(0, "prompt"), tau=60.0)
     # retention (0.5, 1.0): old snapshot keeps 5 of 10 duplicated edges -> 1
@@ -153,11 +153,11 @@ def test_build_prompt_graph_subsamples_older_snapshots():
 
 
 def test_build_prompt_graph_zero_retention_drops_snapshot():
-    pre = build_graph([Interaction(0, 2, 0)], 2, 4)
+    pre = build_graph(edge_array([(0, 2, 0)]), 2, 4)
     snaps = [
-        (Interaction(0, 4, 1000),),
-        (Interaction(1, 5, 2000),),
-        (Interaction(1, 4, 3000),),
+        edge_array([(0, 4, 1000)]),
+        edge_array([(1, 5, 2000)]),
+        edge_array([(1, 4, 3000)]),
     ]
     g = build_prompt_graph(pre, snaps, phi=-1.0, rng=seed_stream(0, "prompt"), tau=60.0)
     # retention (0, 0, 1): only the newest snapshot contributes
@@ -165,8 +165,8 @@ def test_build_prompt_graph_zero_retention_drops_snapshot():
 
 
 def test_build_prompt_graph_is_deterministic():
-    pre = build_graph([Interaction(0, 2, 0)], 2, 4)
-    snaps = [tuple(Interaction(0, 4 + k % 2, 1000 + k) for k in range(8))]
+    pre = build_graph(edge_array([(0, 2, 0)]), 2, 4)
+    snaps = [edge_array([(0, 4 + k % 2, 1000 + k) for k in range(8)])]
     a = build_prompt_graph(pre, snaps, 0.4, seed_stream(3, "prompt", 1), 60.0)
     b = build_prompt_graph(pre, snaps, 0.4, seed_stream(3, "prompt", 1), 60.0)
     assert np.array_equal(a.edge_user, b.edge_user)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dynrec.data import Interaction, apply_temporal, build_graph
+from dynrec.data import apply_temporal, build_graph
 from dynrec.propagation import (
     build_weights,
     edge_weights,
@@ -16,7 +16,7 @@ from dynrec.propagation import (
     propagate_transpose,
     temporal_softmax,
 )
-from helpers import dense_forward, dense_operator, edges_to_interactions, random_bipartite_edges
+from helpers import dense_forward, dense_operator, edge_array, random_bipartite_edges
 
 # frozen by hand: e / (1 + e) and 1 / (1 + e)
 SIGMOID_ONE = 0.7310585786300049
@@ -25,7 +25,7 @@ SIGMOID_MINUS_ONE = 0.2689414213699951
 
 def _temporal_graph(edges, n_users, n_items, tau=3600.0):
     return apply_temporal(
-        build_graph(edges_to_interactions(edges), n_users, n_items), tau
+        build_graph(edge_array(edges), n_users, n_items), tau
     )
 
 
@@ -42,7 +42,7 @@ def _random_case(seed, max_users=25, max_items=25):
 
 
 def test_temporal_softmax_requires_time_attributes():
-    g = build_graph([Interaction(0, 1, 0)], 1, 1)
+    g = build_graph(np.array([[0, 1, 0]], dtype=np.int64), 1, 1)
     with pytest.raises(ValueError, match="temporal"):
         temporal_softmax(g)
 

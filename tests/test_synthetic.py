@@ -16,14 +16,14 @@ from dynrec.synthetic import (
 
 def test_planted_blocks_confines_users_to_their_block():
     log = planted_blocks(n_users=20, n_items=40, n_blocks=4, per_user=5, seed=0)
-    assert len(log) == 100
-    for x in log:
-        block = x.user // 5
-        assert block * 10 <= x.item < (block + 1) * 10
-        assert 0 <= x.ts_unix < 5 * DAY_SECONDS
+    assert log.shape == (100, 3) and log.dtype == np.int64
+    for user, item, ts in log.tolist():
+        block = user // 5
+        assert block * 10 <= item < (block + 1) * 10
+        assert 0 <= ts < 5 * DAY_SECONDS
     # per-user items are distinct
     for user in range(20):
-        items = [x.item for x in log if x.user == user]
+        items = log[log[:, 0] == user, 1].tolist()
         assert len(items) == len(set(items)) == 5
 
 
@@ -41,25 +41,23 @@ def test_planted_blocks_is_seeded():
     a = planted_blocks(20, 40, 4, 5, seed=2)
     b = planted_blocks(20, 40, 4, 5, seed=2)
     c = planted_blocks(20, 40, 4, 5, seed=3)
-    assert a == b and a != c
+    assert np.array_equal(a, b) and not np.array_equal(a, c)
 
 
 def test_split_by_user_is_leakage_free_and_sized():
     log = planted_blocks(20, 40, 4, 5, seed=0)
     train, test = split_by_user(log, 0.4, seed=0)
-    assert sorted(train + test, key=lambda x: (x.user, x.item, x.ts_unix)) == sorted(
-        log, key=lambda x: (x.user, x.item, x.ts_unix)
-    )
+    assert sorted(train.tolist() + test.tolist()) == sorted(log.tolist())
     for user in range(20):
-        held = [x for x in test if x.user == user]
-        kept = [x for x in train if x.user == user]
+        held = test[test[:, 0] == user]
+        kept = train[train[:, 0] == user]
         assert len(kept) >= 1
         assert len(held) == min(4, max(1, int(5 * 0.4)))
 
 
 def test_split_by_user_rejects_degenerate_fraction():
     with pytest.raises(ValueError):
-        split_by_user([], 0.0, seed=0)
+        split_by_user(np.empty((0, 3), dtype=np.int64), 0.0, seed=0)
 
 
 def test_drift_series_bimodal_day_structure():
@@ -74,12 +72,12 @@ def test_drift_series_bimodal_day_structure():
         seed=0,
     )
     n_users = 12
-    assert len(log) == n_users * 3 * 3  # users * days * edges-per-day
-    for x in log:
-        day = x.ts_unix // DAY_SECONDS
-        frac = (x.ts_unix - day * DAY_SECONDS) / DAY_SECONDS
-        block = x.user // 3
-        item_block = x.item // 5
+    assert log.shape == (n_users * 3 * 3, 3)  # users * days * edges-per-day
+    for user, item, ts in log.tolist():
+        day = ts // DAY_SECONDS
+        frac = (ts - day * DAY_SECONDS) / DAY_SECONDS
+        block = user // 3
+        item_block = item // 5
         if frac < 0.30:
             assert item_block == (block + day) % 4  # early edges: today's block
         else:
@@ -91,7 +89,7 @@ def test_drift_series_is_seeded():
     a = drift_series(n_blocks=2, users_per_block=2, items_per_block=3, pretrain_days=1, snapshot_days=1, seed=5)
     b = drift_series(n_blocks=2, users_per_block=2, items_per_block=3, pretrain_days=1, snapshot_days=1, seed=5)
     c = drift_series(n_blocks=2, users_per_block=2, items_per_block=3, pretrain_days=1, snapshot_days=1, seed=6)
-    assert a == b and a != c
+    assert np.array_equal(a, b) and not np.array_equal(a, c)
 
 
 def test_write_tsv_round_trips(tmp_path):
@@ -99,5 +97,5 @@ def test_write_tsv_round_trips(tmp_path):
     path = tmp_path / "log.tsv"
     write_tsv(str(path), log)
     loaded, vocab = load_interactions(str(path))
-    assert loaded == log
+    assert np.array_equal(loaded, log)
     assert vocab.n_users == 8

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dynrec.data import Interaction, apply_temporal, build_graph
+from dynrec.data import apply_temporal, build_graph
 from dynrec.propagation import build_weights, forward
 from dynrec.rng import seed_stream
 from dynrec.training import (
@@ -20,7 +20,7 @@ from dynrec.training import (
     pretrain,
     sample_negatives,
 )
-from helpers import central_difference, edges_to_interactions, random_bipartite_edges, rel_err
+from helpers import central_difference, edge_array, random_bipartite_edges, rel_err
 
 # frozen by hand: log(1 + exp(-1))
 SOFTPLUS_MINUS_ONE = 0.31326168751822286
@@ -28,7 +28,7 @@ SOFTPLUS_MINUS_ONE = 0.31326168751822286
 
 def _graph(edges, n_users, n_items, tau=3600.0):
     return apply_temporal(
-        build_graph(edges_to_interactions(edges), n_users, n_items), tau
+        build_graph(edge_array(edges), n_users, n_items), tau
     )
 
 
@@ -199,8 +199,8 @@ def test_holdout_split_preserves_training_edges_per_user(seed):
     g = _graph(random_bipartite_edges(rng, n_users, n_items, n_edges), n_users, n_items)
     train_edges, val_items = holdout_split(g, 0.25, np.random.default_rng(seed))
     train_by_user: dict[int, set[int]] = {}
-    for e in train_edges:
-        train_by_user.setdefault(e.user, set()).add(e.item - n_users)
+    for user, item, _ in train_edges.tolist():
+        train_by_user.setdefault(user, set()).add(item - n_users)
     for user in range(n_users):
         deg = int(g.user_degrees()[user])
         if deg == 0:
