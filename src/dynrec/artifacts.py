@@ -16,6 +16,7 @@ import os
 import numpy as np
 
 from .config import RunConfig
+from .data import DataError
 from .prompt import GateParams
 
 
@@ -79,10 +80,15 @@ def write_checkpoint(
     """Write an embedding-table checkpoint: arrays plus a JSON sidecar.
 
     `kind` distinguishes pre-training checkpoints from per-snapshot ones;
-    snapshot checkpoints may carry the tuned gate arrays alongside.
+    snapshot checkpoints may carry the tuned gate arrays alongside. The
+    sidecar records the SHA-256 digest of every array file.
     """
     os.makedirs(out_dir, exist_ok=True)
-    np.save(os.path.join(out_dir, "embeddings.npy"), embeddings)
+    arrays = {"embeddings.npy": embeddings}
+    if gate is not None:
+        arrays.update({"gate_w.npy": gate.w, "gate_b.npy": gate.b})
+    for name, array in arrays.items():
+        np.save(os.path.join(out_dir, name), array)
     meta = {
         "kind": kind,
         "d": int(embeddings.shape[1]),
@@ -91,32 +97,38 @@ def write_checkpoint(
         "rows": int(embeddings.shape[0]),
         "optimizer_step": int(optimizer_step),
         "has_gate": gate is not None,
+        "sha256": {name: sha256_file(os.path.join(out_dir, name)) for name in arrays},
     }
     if extra:
         meta.update(extra)
-    if gate is not None:
-        np.save(os.path.join(out_dir, "gate_w.npy"), gate.w)
-        np.save(os.path.join(out_dir, "gate_b.npy"), gate.b)
     write_json(os.path.join(out_dir, "checkpoint.json"), meta)
 
 
 def read_checkpoint(ckpt_dir: str) -> tuple[np.ndarray, dict, GateParams | None]:
-    """Load a checkpoint directory; validates the sidecar against the arrays."""
+    """Load a checkpoint directory; verifies array digests and shapes.
+
+    Raises DataError when an array file does not match its recorded digest
+    or the sidecar disagrees with the arrays.
+    """
     meta = read_json(os.path.join(ckpt_dir, "checkpoint.json"))
-    embeddings = np.load(os.path.join(ckpt_dir, "embeddings.npy"))
+    arrays = {}
+    names = ["embeddings.npy"] + (["gate_w.npy", "gate_b.npy"] if meta.get("has_gate") else [])
+    for name in names:
+        path = os.path.join(ckpt_dir, name)
+        if sha256_file(path) != meta.get("sha256", {}).get(name):
+            raise DataError(f"checkpoint mismatch: {name} does not match its SHA-256 digest")
+        arrays[name] = np.load(path)
+    embeddings = arrays["embeddings.npy"]
     if embeddings.shape != (meta["rows"], meta["d"]):
-        raise ValueError(
+        raise DataError(
             f"checkpoint mismatch: sidecar says {(meta['rows'], meta['d'])}, "
             f"array is {embeddings.shape}"
         )
     if meta["rows"] != meta["n_users"] + meta["n_items"]:
-        raise ValueError("checkpoint mismatch: rows != n_users + n_items")
+        raise DataError("checkpoint mismatch: rows != n_users + n_items")
     gate = None
     if meta.get("has_gate"):
-        gate = GateParams(
-            w=np.load(os.path.join(ckpt_dir, "gate_w.npy")),
-            b=np.load(os.path.join(ckpt_dir, "gate_b.npy")),
-        )
+        gate = GateParams(w=arrays["gate_w.npy"], b=arrays["gate_b.npy"])
     return embeddings, meta, gate
 
 

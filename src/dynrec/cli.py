@@ -9,7 +9,8 @@ Commands:
 * ``report``       — render a run directory's metrics as a text table
 
 Diagnostics go to stderr; stdout carries only report output. Exit codes:
-0 success, 1 runtime failure, 2 configuration or usage error.
+0 success, 1 runtime failure or invalid input file, 2 configuration or
+usage error.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .artifacts import (
     write_user_metrics_csv,
 )
 from .config import RunConfig, load_config, parse_config
-from .data import SnapshotSeries, load_interactions, segment_snapshots
+from .data import DataError, SnapshotSeries, load_interactions, segment_snapshots
 from .dynamics import DynamicResult, run_dynamic, run_frozen
 from .training import pretrain
 
@@ -320,6 +321,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.func(args, cfg)
+    except DataError as exc:
+        log.error("invalid input: %s", exc)
+        return 1
     except ValueError as exc:
         log.error("%s", exc)
         return 2

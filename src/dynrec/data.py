@@ -23,6 +23,10 @@ import numpy as np
 _INT64_MAX = np.iinfo(np.int64).max
 
 
+class DataError(ValueError):
+    """An input file (interaction log or checkpoint) is malformed or inconsistent."""
+
+
 @dataclass(frozen=True)
 class Vocabulary:
     """Global id remap: users occupy [0, n_users), items [n_users, n_users + n_items).
@@ -75,7 +79,7 @@ def ingest_interactions(
     Returns the edges as an (E, 3) int64 array of (user, item, ts_unix) rows
     in input order with their original ids, plus the vocabulary mapping raw
     ids onto the global id space. Blank lines are skipped; anything else
-    that does not parse as three integers in [0, 2**63) raises ValueError
+    that does not parse as three integers in [0, 2**63) raises DataError
     naming the 1-based line number. Empty input yields a (0, 3) array, not
     an error.
     """
@@ -86,14 +90,14 @@ def ingest_interactions(
             continue
         fields = stripped.split("\t")
         if len(fields) != 3:
-            raise ValueError(
+            raise DataError(
                 f"malformed interaction at line {lineno}: expected 3 tab-separated "
                 f"fields, got {len(fields)}"
             )
         try:
             user, item, ts = (int(f) for f in fields)
         except ValueError:
-            raise ValueError(
+            raise DataError(
                 f"malformed interaction at line {lineno}: non-integer field in "
                 f"{stripped!r}"
             ) from None
@@ -102,7 +106,7 @@ def ingest_interactions(
             and 0 <= item <= _INT64_MAX
             and 0 <= ts <= _INT64_MAX
         ):
-            raise ValueError(
+            raise DataError(
                 f"malformed interaction at line {lineno}: value outside [0, 2**63)"
             )
         rows.append((user, item, ts))

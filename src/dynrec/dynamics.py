@@ -118,30 +118,16 @@ def _pair_keys(edges: np.ndarray, n_users: int, n_items: int) -> np.ndarray:
     return edges[:, 0] * np.int64(n_items) + (edges[:, 1] - n_users)
 
 
-def _eval_inputs(
-    test_snapshot: np.ndarray, seen: np.ndarray, n_users: int, n_items: int
-) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
-    """Per-user relevant sets (local ids) and training-visibility masks.
-
-    `seen` holds the sorted (user, item) keys visible during training;
-    repeated keys are harmless.
-    """
+def _test_items(
+    test_snapshot: np.ndarray, n_users: int, n_items: int
+) -> dict[int, np.ndarray]:
+    """Each test user's distinct relevant items (local ids, ascending)."""
     keys = np.unique(_pair_keys(test_snapshot, n_users, n_items))
-    test_users = np.unique(keys // n_items)
-    # each user's keys span [user * n_items, (user + 1) * n_items)
-    bounds = np.stack([test_users, test_users + 1]) * n_items
-    key_lo, key_hi = np.searchsorted(keys, bounds)
-    seen_lo, seen_hi = np.searchsorted(seen, bounds)
-    test_items: dict[int, np.ndarray] = {}
-    masks: dict[int, np.ndarray] = {}
-    for user, lo, hi, s_lo, s_hi in zip(
-        test_users.tolist(), key_lo, key_hi, seen_lo, seen_hi
-    ):
-        test_items[user] = keys[lo:hi] - user * n_items
-        mask = np.zeros(n_items, dtype=bool)
-        mask[seen[s_lo:s_hi] - user * n_items] = True
-        masks[user] = mask
-    return test_items, masks
+    users, starts = np.unique(keys // n_items, return_index=True)
+    return {
+        user: part - user * n_items
+        for user, part in zip(users.tolist(), np.split(keys, starts[1:]))
+    }
 
 
 def _candidate_items(cfg: RunConfig, n_items: int, cycle: int) -> np.ndarray | None:
@@ -149,23 +135,6 @@ def _candidate_items(cfg: RunConfig, n_items: int, cycle: int) -> np.ndarray | N
         return None
     rng = seed_stream(cfg.seed, "eval-candidates", cycle)
     return np.sort(rng.choice(n_items, size=cfg.eval_candidates, replace=False))
-
-
-def _grouped(report: MetricsReport, tuned: set[int]) -> dict:
-    sub_t = report.subset(tuned)
-    sub_u = report.subset(set(report.users) - tuned)
-    return {
-        "tuned": {
-            "n_users": sub_t.n_users,
-            "recall": sub_t.mean_recall(),
-            "ndcg": sub_t.mean_ndcg(),
-        },
-        "untuned": {
-            "n_users": sub_u.n_users,
-            "recall": sub_u.mean_recall(),
-            "ndcg": sub_u.mean_ndcg(),
-        },
-    }
 
 
 def _ensure_pretrained(
@@ -214,13 +183,11 @@ def _evaluate_cycle(
     seen = np.sort(
         np.concatenate([seen, _pair_keys(train_snapshot, n_users, n_items)])
     )
-    test_items, masks = _eval_inputs(series.snapshots[k + 1], seen, n_users, n_items)
+    test_items = _test_items(series.snapshots[k + 1], n_users, n_items)
     report = evaluate_users(
-        x, n_users, test_items, masks, cfg.k, _candidate_items(cfg, n_items, k)
+        x, n_users, test_items, seen, cfg.k, _candidate_items(cfg, n_items, k)
     )
-    tuned_users, _ = split_tuned_untuned(
-        set(report.users), set(train_snapshot[:, 0].tolist())
-    )
+    groups = split_tuned_untuned(set(report.users), set(train_snapshot[:, 0].tolist()))
     elapsed = 0.0 if cfg.deterministic else time.perf_counter() - started
     record = {
         "cycle": k + 1,
@@ -234,7 +201,9 @@ def _evaluate_cycle(
         "wall_time": elapsed,
         "warning": warning,
     }
-    record.update(_grouped(report, tuned_users))
+    for name, users in zip(("tuned", "untuned"), groups):
+        sub = report.subset(users)
+        record[name] = {"n_users": sub.n_users, "recall": sub.mean_recall(), "ndcg": sub.mean_ndcg()}
     result.records.append(record)
     result.cycles.append(
         CycleArtifacts(

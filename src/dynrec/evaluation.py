@@ -5,6 +5,12 @@ Items the user already interacted with during training are masked out of the
 candidate set. Ties in score break toward the smaller item id so rankings
 are deterministic. Users with no unseen relevant items are excluded from the
 averages rather than counted as zeros.
+
+Ranking is exact and blocked: one matrix product scores a block of users
+against every item, seen cells become -inf, and each row's top K is a
+partition at its K-th score plus one lexsort of the cells reaching it, so
+ties at the cut still go to the smaller id. A block holds at most
+`BLOCK_BYTES` of scores, so memory is bounded by a constant, not users x items.
 """
 
 from __future__ import annotations
@@ -13,33 +19,65 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+BLOCK_BYTES = 1 << 20  # budget of one score block, which bounds evaluation memory
+
+
+def _cells(keys: np.ndarray, users: np.ndarray, n_items: int) -> tuple[np.ndarray, np.ndarray]:
+    """(row, local item) of each key in sorted `keys` that belongs to `users`.
+
+    Keys are `user * n_items + local item`; `users` is ascending and nonempty,
+    and row r stands for `users[r]`.
+    """
+    lo, hi = np.searchsorted(keys, [users[0] * n_items, (users[-1] + 1) * n_items])
+    owner, item = np.divmod(keys[lo:hi], n_items)
+    row = np.searchsorted(users, owner)
+    ours = users[row] == owner
+    return row[ours], item[ours]
+
 
 def rank_items(
     x: np.ndarray,
-    user: int,
-    mask: np.ndarray,
-    k: int,
     n_users: int,
+    users: np.ndarray,
+    seen: np.ndarray,
+    k: int,
     candidates: np.ndarray | None = None,
+    relevant: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Top-`k` local item ids for `user` by descending score, ties to smaller id.
+    """Top-`k` local item ids for each of `users`, best first, ties to smaller id.
 
-    `x` holds final embeddings over the global id space (users then items).
-    `mask` is a boolean array over local item ids; masked items are removed
-    from the candidate set before ranking. `candidates`, if given, restricts
-    ranking to those local item ids (the mask still applies).
+    `x` holds final embeddings over the global id space (users then items);
+    `users` are ascending and scored in one block. Items whose key
+    `user * n_items + item` is in the sorted `seen` are not ranked;
+    `candidates`, if given, restricts ranking to those items and to the keys
+    in the sorted `relevant`. Returns a (len(users), min(k, n_items)) int64
+    array, each row padded with -1 past its last rankable item.
     """
     n_items = x.shape[0] - n_users
-    if candidates is None:
-        ids = np.flatnonzero(~mask)
-    else:
-        ids = candidates[~mask[candidates]]
-    if ids.size == 0:
-        return np.empty(0, dtype=np.int64)
-    scores = x[n_users + ids] @ x[user]
-    # primary key: score descending; secondary: item id ascending
-    order = np.lexsort((ids, -scores))
-    return ids[order[: min(k, ids.size)]].astype(np.int64)
+    scores = x[users] @ x[n_users:].T
+    # NaN scores rank after every finite one, where a full sort puts them
+    scores[np.isnan(scores)] = np.finfo(scores.dtype).min
+    if candidates is not None:
+        keep = _cells(seen[:0] if relevant is None else relevant, users, n_items)
+        kept = scores[keep]
+        outside = np.ones(n_items, dtype=bool)
+        outside[candidates] = False
+        scores[:, outside] = -np.inf
+        scores[keep] = kept
+    scores[_cells(seen, users, n_items)] = -np.inf
+
+    top_k = min(k, n_items)
+    ranked = np.full((users.size, top_k), -1, dtype=np.int64)
+    # cells above a row's k-th score are in its top k; cells equal to it
+    # compete on id, so every cell reaching it goes through the exact sort
+    kth = np.partition(scores, n_items - top_k, axis=1)[:, n_items - top_k]
+    rows, cols = np.nonzero((scores >= kth[:, None]) & (scores > -np.inf))
+    order = np.lexsort((cols, -scores[rows, cols], rows))
+    rows, cols = rows[order], cols[order]
+    rank = np.arange(rows.size) - np.searchsorted(rows, rows)
+    top = rank < top_k
+    ranked[rows[top], rank[top]] = cols[top]
+    return ranked
 
 
 def recall_at_k(ranked: np.ndarray, relevant: np.ndarray) -> float:
@@ -54,10 +92,13 @@ def ndcg_at_k(ranked: np.ndarray, relevant: np.ndarray, k: int) -> float:
     """Binary-gain normalized DCG with the ideal over min(|relevant|, k)."""
     if relevant.size == 0:
         raise ValueError("ndcg undefined for an empty relevant set")
-    rel = np.isin(ranked[:k], relevant)
-    positions = np.flatnonzero(rel) + 1  # 1-based ranks of the hits
+    return _ndcg(np.isin(ranked[:k], relevant), min(relevant.size, k))
+
+
+def _ndcg(hit: np.ndarray, ideal_n: int) -> float:
+    """nDCG of a ranked list whose hits are the nonzero entries of `hit`."""
+    positions = np.flatnonzero(hit) + 1  # 1-based ranks of the hits
     dcg = float(np.sum(1.0 / np.log2(positions + 1.0)))
-    ideal_n = min(relevant.size, k)
     idcg = float(np.sum(1.0 / np.log2(np.arange(1, ideal_n + 1) + 1.0)))
     return dcg / idcg
 
@@ -98,35 +139,44 @@ def evaluate_users(
     x: np.ndarray,
     n_users: int,
     test_items: dict[int, np.ndarray],
-    train_mask: dict[int, np.ndarray],
+    seen: np.ndarray,
     k: int,
     candidates: np.ndarray | None = None,
 ) -> MetricsReport:
     """Rank and score every test user with a nonempty unseen relevant set.
 
-    `test_items[u]` holds local relevant item ids, `train_mask[u]` a boolean
-    mask of local items to hide. Relevant items that are also masked are
-    dropped from the relevant set; users left with nothing relevant are
-    skipped entirely.
+    `test_items[u]` holds local relevant item ids; `seen` the sorted keys
+    `user * n_items + local item` to hide (repeats are harmless). Relevant
+    items that are also seen are dropped from the relevant set; users left
+    with nothing relevant are skipped entirely. Under sampled `candidates`
+    each user's relevant items stay rankable. Metrics equal `recall_at_k`
+    and `ndcg_at_k` on each user's ranked list bit for bit.
     """
-    report = MetricsReport(k=k)
-    for user in sorted(test_items):
-        mask = train_mask[user]
-        relevant = test_items[user]
-        relevant = relevant[~mask[relevant]]
-        if relevant.size == 0:
-            continue
-        cand = candidates
-        if cand is not None:
-            # ensure relevant items are rankable even under sampled candidates
-            cand = np.union1d(cand, relevant)
-        ranked = rank_items(x, user, mask, k, n_users, cand)
-        report.add(
-            user,
-            recall_at_k(ranked, relevant),
-            ndcg_at_k(ranked, relevant, k),
+    n_items = x.shape[0] - n_users
+    relevant = np.concatenate(
+        [np.empty(0, dtype=np.int64)]
+        + [u * n_items + np.asarray(test_items[u], dtype=np.int64) for u in test_items]
+    )
+    relevant = np.sort(relevant[~np.isin(relevant, seen)])
+    users, n_relevant = np.unique(relevant // n_items, return_counts=True)
+    step = max(1, BLOCK_BYTES // (x.itemsize * max(n_items, 1)))
+    recalls, ndcgs = [np.empty(0)], [np.empty(0)]
+    for lo in range(0, users.size, step):
+        block, n_rel = users[lo : lo + step], n_relevant[lo : lo + step]
+        ranked = rank_items(x, n_users, block, seen, k, candidates, relevant)
+        # one spare column that is never relevant absorbs the -1 padding
+        is_relevant = np.zeros((block.size, n_items + 1), dtype=bool)
+        is_relevant[_cells(relevant, block, n_items)] = True
+        hit = is_relevant[np.arange(block.size)[:, None], ranked]
+        recalls.append(hit.sum(axis=1) / n_rel)
+        # nDCG depends only on the hit pattern and min(|relevant|, k): evaluate
+        # the scalar formula once per distinct pair so every value matches it
+        patterns, inverse = np.unique(
+            np.column_stack([hit, np.minimum(n_rel, k)]), axis=0, return_inverse=True
         )
-    return report
+        ndcgs.append(np.array([_ndcg(p[:-1], p[-1]) for p in patterns])[inverse.reshape(-1)])
+    recalls, ndcgs = np.concatenate(recalls).tolist(), np.concatenate(ndcgs).tolist()
+    return MetricsReport(k, users.tolist(), recalls, ndcgs)
 
 
 def split_tuned_untuned(

@@ -272,9 +272,7 @@ def pretrain(
     weights = build_weights(train_graph, no_temporal=no_temporal)
 
     positives = np.stack([train_graph.edge_user, train_graph.edge_item], axis=1)
-    train_mask = {
-        u: _item_mask(train_graph, u) for u in val_items
-    }
+    seen = _edge_keys(train_graph)
     rng = seed_stream(cfg.seed, "negatives")
     adam = Adam({"x": x}, cfg.learning_rate)
 
@@ -294,9 +292,7 @@ def pretrain(
         record = {"epoch": epoch, "loss": mean_loss, "val_recall": None}
         if val_items:
             z = forward(weights, x, n_layers)
-            report = evaluate_users(
-                z, graph.n_users, val_items, train_mask, cfg.eval_k
-            )
+            report = evaluate_users(z, graph.n_users, val_items, seen, cfg.eval_k)
             record["val_recall"] = report.mean_recall()
             if record["val_recall"] > best.best_recall or best.best_epoch == 0:
                 best.embeddings = x.copy()
@@ -314,9 +310,3 @@ def pretrain(
     best.optimizer_steps = adam.step_count
     return best
 
-
-def _item_mask(graph: InteractionGraph, user: int) -> np.ndarray:
-    """Boolean mask over local item ids covering `user`'s edges in `graph`."""
-    mask = np.zeros(graph.n_items, dtype=bool)
-    mask[graph.user_items(user) - graph.n_users] = True
-    return mask

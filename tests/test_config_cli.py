@@ -21,6 +21,7 @@ from dynrec.artifacts import (
 )
 from dynrec.cli import main
 from dynrec.config import RunConfig, config_from_mapping, load_config, parse_config
+from dynrec.data import DataError
 from dynrec.evaluation import MetricsReport
 from dynrec.prompt import GateParams
 from dynrec.synthetic import drift_series, write_tsv
@@ -148,6 +149,18 @@ def test_checkpoint_detects_tampered_sidecar(tmp_path):
     meta["rows"] = 99
     write_json(os.path.join(out, "checkpoint.json"), meta)
     with pytest.raises(ValueError, match="mismatch"):
+        read_checkpoint(out)
+
+
+def test_checkpoint_refuses_flipped_array_byte(tmp_path):
+    out = str(tmp_path / "ckpt")
+    write_checkpoint(out, np.arange(12.0).reshape(4, 3), kind="pretrain", n_users=2, n_items=2)
+    path = os.path.join(out, "embeddings.npy")
+    data = bytearray(open(path, "rb").read())
+    data[-1] ^= 0x01  # last byte of the last float: same shape, other value
+    with open(path, "wb") as fh:
+        fh.write(data)
+    with pytest.raises(DataError, match="embeddings.npy does not match its SHA-256 digest"):
         read_checkpoint(out)
 
 
@@ -339,6 +352,14 @@ def test_cli_exit_codes_for_bad_usage(cli_data, tmp_path):
                  "--quiet", "--config", str(bad)]) == 2
     # runtime failure: report on a directory with no metrics
     assert main(["report", "--run", str(tmp_path / "missing"), "--quiet"]) == 1
+
+
+@pytest.mark.parametrize("line", ["1\t2\n", "1\tx\t3\n", f"1\t{2**63}\t3\n"])
+def test_cli_exit_code_for_invalid_data_line(tmp_path, line):
+    data = tmp_path / "bad.tsv"
+    data.write_text("0\t1\t100\n" + line)
+    assert main(["pretrain", "--data", str(data), "--out", str(tmp_path / "out"),
+                 "--quiet", *CLI_SETTINGS]) == 1
 
 
 def test_cli_config_file_round_trip(cli_data, tmp_path):

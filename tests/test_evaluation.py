@@ -1,11 +1,14 @@
-"""Top-K ranking, recall, normalized DCG and the per-user evaluation loop."""
+"""Top-K ranking, recall, normalized DCG and the blocked evaluation loop."""
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import dynrec.evaluation as evaluation
 from dynrec.evaluation import (
     MetricsReport,
     evaluate_users,
@@ -29,31 +32,39 @@ def _scores_to_table(user_vec, item_scores):
     return x
 
 
+NO_KEYS = np.empty(0, dtype=np.int64)
+USER_0 = np.array([0])
+
+
 def test_rank_items_orders_by_score_then_id():
     x = _scores_to_table([1.0, 0.0], [5.0, 9.0, 9.0, 1.0])
-    ranked = rank_items(x, 0, np.zeros(4, dtype=bool), 4, n_users=1)
+    ranked = rank_items(x, 1, USER_0, NO_KEYS, 4)
     # items 1 and 2 tie at 9; the smaller id wins
-    assert ranked.tolist() == [1, 2, 0, 3]
+    assert ranked.tolist() == [[1, 2, 0, 3]]
 
 
 def test_rank_items_applies_mask_and_k():
     x = _scores_to_table([1.0, 0.0], [5.0, 9.0, 7.0])
-    mask = np.array([False, True, False])
-    ranked = rank_items(x, 0, mask, 1, n_users=1)
-    assert ranked.tolist() == [2]
+    ranked = rank_items(x, 1, USER_0, np.array([1]), 1)
+    assert ranked.tolist() == [[2]]
 
 
 def test_rank_items_candidate_restriction():
     x = _scores_to_table([1.0, 0.0], [5.0, 9.0, 7.0, 6.0])
-    ranked = rank_items(
-        x, 0, np.zeros(4, dtype=bool), 10, n_users=1, candidates=np.array([0, 3])
-    )
-    assert ranked.tolist() == [3, 0]
+    ranked = rank_items(x, 1, USER_0, NO_KEYS, 10, candidates=np.array([0, 3]))
+    assert ranked.tolist() == [[3, 0, -1, -1]]
+
+
+def test_rank_items_puts_nan_scores_last():
+    x = _scores_to_table([1.0, 0.0], [np.nan, 2.0, 1.0, np.nan])
+    ranked = rank_items(x, 1, USER_0, NO_KEYS, 3)
+    # the finite scores first, then the NaN ones by id
+    assert ranked.tolist() == [[1, 2, 0]]
 
 
 def test_rank_items_everything_masked():
     x = _scores_to_table([1.0, 0.0], [5.0])
-    assert rank_items(x, 0, np.ones(1, dtype=bool), 3, 1).size == 0
+    assert rank_items(x, 1, USER_0, np.array([0]), 3).tolist() == [[-1]]
 
 
 def test_recall_hand_values():
@@ -94,7 +105,8 @@ def test_metrics_match_brute_force(seed):
     relevant = relevant[~mask[relevant]]
     if relevant.size == 0:
         return
-    ranked = rank_items(x, 0, mask, k, n_users=1)
+    ranked = rank_items(x, 1, USER_0, np.flatnonzero(mask), k)[0]
+    ranked = ranked[ranked >= 0]
     ref = brute_force_topk(x, 0, 1, set(np.flatnonzero(mask).tolist()), k)
     assert ranked.tolist() == ref
     assert recall_at_k(ranked, relevant) == brute_force_recall(ref, set(relevant.tolist()))
@@ -117,24 +129,80 @@ def test_metrics_report_aggregation_and_subset():
 def test_evaluate_users_drops_masked_relevant_and_skips_empty():
     x = _scores_to_table([1.0, 0.0], [9.0, 5.0, 1.0])
     test_items = {0: np.array([0, 1])}
-    mask = {0: np.array([True, False, False])}
-    report = evaluate_users(x, 1, test_items, mask, k=2)
+    report = evaluate_users(x, 1, test_items, np.array([0]), k=2)
     # item 0 is masked away; only item 1 counts, ranked first among unmasked
     assert report.users == [0]
     assert report.recalls == [1.0]
     assert report.ndcgs == [1.0]
 
-    all_masked = evaluate_users(x, 1, {0: np.array([0])}, {0: np.array([True, False, False])}, 2)
+    all_masked = evaluate_users(x, 1, {0: np.array([0])}, np.array([0]), 2)
     assert all_masked.n_users == 0
 
 
 def test_evaluate_users_candidates_always_include_relevant():
     x = _scores_to_table([1.0, 0.0], [9.0, 5.0, 1.0, 0.5])
     test_items = {0: np.array([3])}
-    mask = {0: np.zeros(4, dtype=bool)}
-    report = evaluate_users(x, 1, test_items, mask, k=4, candidates=np.array([0]))
+    report = evaluate_users(x, 1, test_items, NO_KEYS, k=4, candidates=np.array([0]))
     # candidate pool {0} is widened with relevant {3}: recall can reach 1
     assert report.recalls == [1.0]
+
+
+@given(st.integers(0, 10_000), st.booleans(), st.booleans())
+def test_evaluate_users_matches_brute_force(seed, integer_scores, sampled):
+    rng = np.random.default_rng(seed)
+    n_users, n_items = int(rng.integers(1, 12)), int(rng.integers(1, 16))
+    if integer_scores:  # small integers make exact score ties common
+        x = rng.integers(-2, 3, size=(n_users + n_items, 2)).astype(np.float64)
+    else:
+        x = rng.normal(size=(n_users + n_items, 3))
+    seen = {u: set(np.flatnonzero(rng.random(n_items) < 0.3).tolist()) for u in range(n_users)}
+    test_items = {
+        u: np.sort(rng.choice(n_items, size=int(rng.integers(1, n_items + 1)), replace=False))
+        for u in range(n_users)
+        if rng.random() < 0.8
+    }
+    if test_items and rng.random() < 0.5:  # one user whose relevant items are all seen
+        u = int(rng.choice(list(test_items)))
+        seen[u] |= set(test_items[u].tolist())
+    candidates = None
+    if sampled:
+        candidates = np.sort(rng.choice(n_items, size=int(rng.integers(1, n_items + 1)), replace=False))
+    k = int(rng.integers(1, n_items + 4))  # often more than the rankable items
+    seen_keys = np.array(
+        sorted(u * n_items + i for u, items in seen.items() for i in items), dtype=np.int64
+    )
+    with pytest.MonkeyPatch.context() as mp:  # one to three users per block
+        mp.setattr(evaluation, "BLOCK_BYTES", 8 * n_items * int(rng.integers(1, 4)))
+        report = evaluate_users(x, n_users, test_items, seen_keys, k, candidates)
+
+    expected = []
+    for user in sorted(test_items):
+        relevant = set(test_items[user].tolist()) - seen[user]
+        if not relevant:
+            continue
+        pool = None if candidates is None else sorted(set(candidates.tolist()) | relevant)
+        ref = brute_force_topk(x, user, n_users, seen[user], k, pool)
+        expected.append(
+            (user, brute_force_recall(ref, relevant), brute_force_ndcg(ref, relevant, k))
+        )
+    assert list(zip(report.users, report.recalls, report.ndcgs)) == expected
+
+
+def test_evaluate_users_memory_is_bounded_by_the_block():
+    rng = np.random.default_rng(0)
+    n_users, n_items = 4000, 2000
+    x = rng.normal(size=(n_users + n_items, 16))
+    seen = np.unique(rng.integers(0, n_users * n_items, size=40_000))
+    test_items = {u: np.sort(rng.choice(n_items, size=5, replace=False)) for u in range(n_users)}
+    tracemalloc.start()
+    try:
+        report = evaluate_users(x, n_users, test_items, seen, 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.n_users == n_users
+    # a full users x items score matrix alone would take 64 MB
+    assert peak < 6 * 2**20
 
 
 def test_split_tuned_untuned():
