@@ -115,6 +115,7 @@ class RunConfig:
             patience=min(self.patience, max(self.max_epochs, 1)),
             l2_reg=self.l2_reg,
             val_fraction=self.val_fraction,
+            eval_k=self.k,
             seed=self.seed,
         )
 

@@ -16,9 +16,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Iterable, Iterator
 
 import numpy as np
+
+from .evaluation import pair_keys
 
 _INT64_MAX = np.iinfo(np.int64).max
 
@@ -170,8 +173,10 @@ class InteractionGraph:
         sel = self.iu_edge[self.iu_indptr[item_local] : self.iu_indptr[item_local + 1]]
         return self.edge_user[sel]
 
-    def undirected_edges(self) -> set[tuple[int, int]]:
-        return set(zip(self.edge_user.tolist(), self.edge_item.tolist()))
+    @cached_property
+    def keys(self) -> np.ndarray:
+        """The canonical edges' `pair_keys`, ascending; computed once."""
+        return pair_keys(self.edges(), self.n_users, self.n_items)
 
     def edges(self) -> np.ndarray:
         """The canonical edges as an (E, 3) array of (user, item, ts) rows."""

@@ -8,6 +8,11 @@ the next snapshot and pushed into the history window.
 
 `run_frozen` applies the same evaluation schedule to the pre-trained table
 alone and is the no-adaptation baseline every variant is compared against.
+
+Both mask and score with (user, item) key arrays (`evaluation.pair_keys`):
+the seen keys grow by each training snapshot, the test snapshot's keys are
+the relevant set, and a user counts as tuned when they have an edge in the
+cycle's training snapshot.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 
 from .config import RunConfig
 from .data import SnapshotSeries, apply_temporal, build_graph
-from .evaluation import MetricsReport, evaluate_users, split_tuned_untuned
+from .evaluation import MetricsReport, evaluate_users, pair_keys
 from .prompt import GateParams, build_prompt_graph, finetune, prompt_forward, random_gate
 from .propagation import build_weights, forward
 from .rng import seed_stream
@@ -95,9 +100,9 @@ class DynamicResult:
 
     def micro(self) -> tuple[float, float]:
         """Mean over all (cycle, user) evaluations pooled together."""
-        recalls = [v for c in self.cycles for v in c.report.recalls]
-        ndcgs = [v for c in self.cycles for v in c.report.ndcgs]
-        if not recalls:
+        recalls = np.concatenate([np.empty(0)] + [c.report.recalls for c in self.cycles])
+        ndcgs = np.concatenate([np.empty(0)] + [c.report.ndcgs for c in self.cycles])
+        if not recalls.size:
             return 0.0, 0.0
         return float(np.mean(recalls)), float(np.mean(ndcgs))
 
@@ -111,23 +116,6 @@ class DynamicResult:
             "micro_recall": micro_r,
             "micro_ndcg": micro_n,
         }
-
-
-def _pair_keys(edges: np.ndarray, n_users: int, n_items: int) -> np.ndarray:
-    """(user, item) composite keys user * n_items + local item, one per row."""
-    return edges[:, 0] * np.int64(n_items) + (edges[:, 1] - n_users)
-
-
-def _test_items(
-    test_snapshot: np.ndarray, n_users: int, n_items: int
-) -> dict[int, np.ndarray]:
-    """Each test user's distinct relevant items (local ids, ascending)."""
-    keys = np.unique(_pair_keys(test_snapshot, n_users, n_items))
-    users, starts = np.unique(keys // n_items, return_index=True)
-    return {
-        user: part - user * n_items
-        for user, part in zip(users.tolist(), np.split(keys, starts[1:]))
-    }
 
 
 def _candidate_items(cfg: RunConfig, n_items: int, cycle: int) -> np.ndarray | None:
@@ -176,18 +164,18 @@ def _evaluate_cycle(
     """Evaluate `x` for cycle k and append its record; returns the grown `seen`.
 
     Items in training snapshot k become visible before evaluation on
-    snapshot k + 1, so they join the masked keys first.
+    snapshot k + 1, so their keys join the sorted `seen` first. Snapshot
+    k + 1's keys are the relevant set as they are; the record's tuned and
+    untuned blocks split the per-user report by a mask over its users.
     """
     n_users, n_items = series.n_users, series.n_items
     train_snapshot = series.snapshots[k]
     seen = np.sort(
-        np.concatenate([seen, _pair_keys(train_snapshot, n_users, n_items)])
+        np.concatenate([seen, pair_keys(train_snapshot, n_users, n_items)])
     )
-    test_items = _test_items(series.snapshots[k + 1], n_users, n_items)
-    report = evaluate_users(
-        x, n_users, test_items, seen, cfg.k, _candidate_items(cfg, n_items, k)
-    )
-    groups = split_tuned_untuned(set(report.users), set(train_snapshot[:, 0].tolist()))
+    relevant = pair_keys(series.snapshots[k + 1], n_users, n_items)
+    report = evaluate_users(x, n_users, relevant, seen, cfg.k, _candidate_items(cfg, n_items, k))
+    tuned = np.isin(report.users, train_snapshot[:, 0])
     elapsed = 0.0 if cfg.deterministic else time.perf_counter() - started
     record = {
         "cycle": k + 1,
@@ -201,8 +189,8 @@ def _evaluate_cycle(
         "wall_time": elapsed,
         "warning": warning,
     }
-    for name, users in zip(("tuned", "untuned"), groups):
-        sub = report.subset(users)
+    for name, mask in (("tuned", tuned), ("untuned", ~tuned)):
+        sub = report.subset(mask)
         record[name] = {"n_users": sub.n_users, "recall": sub.mean_recall(), "ndcg": sub.mean_ndcg()}
     result.records.append(record)
     result.cycles.append(
@@ -232,7 +220,7 @@ def run_dynamic(
     result = DynamicResult(pretrain_log=pretrain_log, pretrained=x_p)
     n_users, n_items = series.n_users, series.n_items
     buffer = WindowBuffer(cfg.omega)
-    seen = _pair_keys(series.pretrain.edges(), n_users, n_items)
+    seen = pair_keys(series.pretrain.edges(), n_users, n_items)
 
     for k in range(series.n_snapshots - 1):
         started = time.perf_counter()
@@ -324,7 +312,7 @@ def run_frozen(
     )
     z_p = forward(weights_p, x_p, cfg.layers)
 
-    seen = _pair_keys(series.pretrain.edges(), series.n_users, series.n_items)
+    seen = pair_keys(series.pretrain.edges(), series.n_users, series.n_items)
     for k in range(series.n_snapshots - 1):
         seen = _evaluate_cycle(result, series, cfg, k, z_p, seen, time.perf_counter())
     return result

@@ -6,6 +6,11 @@ candidate set. Ties in score break toward the smaller item id so rankings
 are deterministic. Users with no unseen relevant items are excluded from the
 averages rather than counted as zeros.
 
+A set of (user, item) pairs, held out or seen, is one int64 array of keys
+`user * n_items + local item`: `pair_keys` encodes them and `_cells` decodes
+the ones a block of users owns. Per-user results are arrays over ascending
+user ids.
+
 Ranking is exact and blocked: one matrix product scores a block of users
 against every item, seen cells become -inf, and each row's top K is a
 partition at its K-th score plus one lexsort of the cells reaching it, so
@@ -15,18 +20,23 @@ ties at the cut still go to the smaller id. A block holds at most
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 BLOCK_BYTES = 1 << 20  # budget of one score block, which bounds evaluation memory
 
 
+def pair_keys(edges: np.ndarray, n_users: int, n_items: int) -> np.ndarray:
+    """Key `user * n_items + local item` of each (user, global item, ...) row."""
+    return edges[:, 0] * np.int64(n_items) + (edges[:, 1] - n_users)
+
+
 def _cells(keys: np.ndarray, users: np.ndarray, n_items: int) -> tuple[np.ndarray, np.ndarray]:
     """(row, local item) of each key in sorted `keys` that belongs to `users`.
 
-    Keys are `user * n_items + local item`; `users` is ascending and nonempty,
-    and row r stands for `users[r]`.
+    Keys are those of `pair_keys`; `users` is ascending and nonempty, and
+    row r stands for `users[r]`.
     """
     lo, hi = np.searchsorted(keys, [users[0] * n_items, (users[-1] + 1) * n_items])
     owner, item = np.divmod(keys[lo:hi], n_items)
@@ -47,8 +57,8 @@ def rank_items(
     """Top-`k` local item ids for each of `users`, best first, ties to smaller id.
 
     `x` holds final embeddings over the global id space (users then items);
-    `users` are ascending and scored in one block. Items whose key
-    `user * n_items + item` is in the sorted `seen` are not ranked;
+    `users` are ascending and scored in one block. Items whose `pair_keys`
+    key is in the sorted `seen` are not ranked;
     `candidates`, if given, restricts ranking to those items and to the keys
     in the sorted `relevant`. Returns a (len(users), min(k, n_items)) int64
     array, each row padded with -1 past its last rankable item.
@@ -105,59 +115,48 @@ def _ndcg(hit: np.ndarray, ideal_n: int) -> float:
 
 @dataclass
 class MetricsReport:
-    """Per-user metric table with aggregate views."""
+    """Per-user metric table: ascending user ids with their recall and nDCG."""
 
     k: int
-    users: list[int] = field(default_factory=list)
-    recalls: list[float] = field(default_factory=list)
-    ndcgs: list[float] = field(default_factory=list)
-
-    def add(self, user: int, recall: float, ndcg: float) -> None:
-        self.users.append(user)
-        self.recalls.append(recall)
-        self.ndcgs.append(ndcg)
+    users: np.ndarray
+    recalls: np.ndarray
+    ndcgs: np.ndarray
 
     @property
     def n_users(self) -> int:
-        return len(self.users)
+        return self.users.size
 
     def mean_recall(self) -> float:
-        return float(np.mean(self.recalls)) if self.recalls else 0.0
+        return float(np.mean(self.recalls)) if self.recalls.size else 0.0
 
     def mean_ndcg(self) -> float:
-        return float(np.mean(self.ndcgs)) if self.ndcgs else 0.0
+        return float(np.mean(self.ndcgs)) if self.ndcgs.size else 0.0
 
-    def subset(self, users: set[int]) -> "MetricsReport":
-        sub = MetricsReport(k=self.k)
-        for u, r, n in zip(self.users, self.recalls, self.ndcgs):
-            if u in users:
-                sub.add(u, r, n)
-        return sub
+    def subset(self, mask: np.ndarray) -> "MetricsReport":
+        """The rows where the boolean `mask` over `users` is true."""
+        return MetricsReport(self.k, self.users[mask], self.recalls[mask], self.ndcgs[mask])
 
 
 def evaluate_users(
     x: np.ndarray,
     n_users: int,
-    test_items: dict[int, np.ndarray],
+    relevant: np.ndarray,
     seen: np.ndarray,
     k: int,
     candidates: np.ndarray | None = None,
 ) -> MetricsReport:
-    """Rank and score every test user with a nonempty unseen relevant set.
+    """Rank and score every user with an unseen relevant item.
 
-    `test_items[u]` holds local relevant item ids; `seen` the sorted keys
-    `user * n_items + local item` to hide (repeats are harmless). Relevant
-    items that are also seen are dropped from the relevant set; users left
-    with nothing relevant are skipped entirely. Under sampled `candidates`
-    each user's relevant items stay rankable. Metrics equal `recall_at_k`
-    and `ndcg_at_k` on each user's ranked list bit for bit.
+    `relevant` holds the keys of the held-out (user, item) pairs in any order,
+    repeats allowed; `seen` the sorted keys to hide (repeats are harmless).
+    Relevant pairs that are also seen are dropped; users left with nothing
+    relevant are skipped entirely. Under sampled `candidates` each user's
+    relevant items stay rankable. Metrics equal `recall_at_k` and `ndcg_at_k`
+    on each user's ranked list bit for bit.
     """
     n_items = x.shape[0] - n_users
-    relevant = np.concatenate(
-        [np.empty(0, dtype=np.int64)]
-        + [u * n_items + np.asarray(test_items[u], dtype=np.int64) for u in test_items]
-    )
-    relevant = np.sort(relevant[~np.isin(relevant, seen)])
+    relevant = np.unique(relevant)
+    relevant = relevant[~np.isin(relevant, seen)]
     users, n_relevant = np.unique(relevant // n_items, return_counts=True)
     step = max(1, BLOCK_BYTES // (x.itemsize * max(n_items, 1)))
     recalls, ndcgs = [np.empty(0)], [np.empty(0)]
@@ -175,13 +174,4 @@ def evaluate_users(
             np.column_stack([hit, np.minimum(n_rel, k)]), axis=0, return_inverse=True
         )
         ndcgs.append(np.array([_ndcg(p[:-1], p[-1]) for p in patterns])[inverse.reshape(-1)])
-    recalls, ndcgs = np.concatenate(recalls).tolist(), np.concatenate(ndcgs).tolist()
-    return MetricsReport(k, users.tolist(), recalls, ndcgs)
-
-
-def split_tuned_untuned(
-    test_users: set[int], finetune_users: set[int]
-) -> tuple[set[int], set[int]]:
-    """Partition test users by whether they had edges in the tuning snapshot."""
-    tuned = test_users & finetune_users
-    return tuned, test_users - tuned
+    return MetricsReport(k, users, np.concatenate(recalls), np.concatenate(ndcgs))

@@ -25,7 +25,7 @@ from scipy.special import expit
 
 from .data import InteractionGraph, apply_temporal, build_graph
 from .propagation import build_weights, forward, forward_backward
-from .training import Adam, TrainConfig, bpr_grad_final, sample_negatives
+from .training import Adam, TrainConfig, bpr_grad_final, check_finite, sample_negatives
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,8 @@ def finetune(
     parameters receive Adam updates: the ranking loss is back-propagated
     through propagation to the gate output, converted into gate-parameter
     gradients there, and stopped. Runs exactly `cfg.max_epochs` epochs;
-    negatives are drawn against this snapshot's edges only.
+    negatives are drawn against this snapshot's edges only. A non-finite
+    loss or gradient raises FloatingPointError.
     """
     weights = build_weights(graph, no_temporal=no_temporal)
     d = x_in.shape[1]
@@ -169,9 +170,9 @@ def finetune(
     for epoch in range(1, cfg.max_epochs + 1):
         order = rng.permutation(positives.shape[0])
         total = 0.0
-        for start in range(0, order.size, cfg.batch_size):
-            batch = positives[order[start : start + cfg.batch_size]]
-            triples = sample_negatives(graph, batch, rng)
+        for batch, start in enumerate(range(0, order.size, cfg.batch_size), 1):
+            rows = positives[order[start : start + cfg.batch_size]]
+            triples = sample_negatives(graph, rows, rng)
             gate = GateParams(w=gate_w, b=gate_b)
             x_g = apply_gate(x_in, gate)
             z = forward(weights, x_g, n_layers)
@@ -182,6 +183,7 @@ def finetune(
                 loss += cfg.l2_reg * float(np.sum(gate_w**2) + np.sum(gate_b**2))
                 grad_w += 2.0 * cfg.l2_reg * gate_w
                 grad_b += 2.0 * cfg.l2_reg * gate_b
+            check_finite(loss, (grad_w, grad_b), epoch, batch)
             adam.step({"w": grad_w, "b": grad_b})
             total += loss
         log.append({"epoch": epoch, "loss": total / max(positives.shape[0], 1)})

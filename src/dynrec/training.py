@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import expit
 
 from .data import InteractionGraph, apply_temporal, build_graph
-from .evaluation import evaluate_users
+from .evaluation import evaluate_users, pair_keys
 from .propagation import PropagationWeights, build_weights, forward, forward_backward
 from .rng import seed_stream
 
@@ -95,9 +95,12 @@ class Adam:
             self.params[name] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def _edge_keys(graph: InteractionGraph) -> np.ndarray:
-    """Sorted (user, item) composite keys for O(log E) membership tests."""
-    return graph.edge_user * np.int64(graph.n_items) + graph.edge_item_local
+def check_finite(loss: float, grads: tuple[np.ndarray, ...], epoch: int, batch: int) -> None:
+    """Raise FloatingPointError, naming the epoch and batch, on a non-finite loss or gradient."""
+    if not (np.isfinite(loss) and all(np.isfinite(g).all() for g in grads)):
+        raise FloatingPointError(
+            f"training diverged: non-finite loss or gradient at epoch {epoch}, batch {batch}"
+        )
 
 
 def sample_negatives(
@@ -118,23 +121,20 @@ def sample_negatives(
         raise ValueError(
             f"cannot sample negatives: user {full[0]} interacts with every item"
         )
-    keys = _edge_keys(graph)  # ascending, since canonical order sorts by (user, item)
-    users = positives[:, 0].astype(np.int64)
-    neg_local = rng.integers(0, graph.n_items, size=users.size, dtype=np.int64)
-    pending = np.arange(users.size) if keys.size else np.empty(0, dtype=np.int64)
+    keys, n_users, n_items = graph.keys, graph.n_users, graph.n_items
+    triples = np.empty((len(positives), 3), dtype=np.int64)
+    triples[:, :2] = positives
+    triples[:, 2] = n_users + rng.integers(0, n_items, size=len(triples), dtype=np.int64)
+    pending = np.arange(len(triples)) if keys.size else np.empty(0, dtype=np.int64)
     while pending.size:
-        q = users[pending] * np.int64(graph.n_items) + neg_local[pending]
+        q = pair_keys(triples[pending][:, ::2], n_users, n_items)  # (user, negative) rows
         pos = np.searchsorted(keys, q)
         seen = (pos < keys.size) & (keys[np.minimum(pos, keys.size - 1)] == q)
         clash = pending[seen]
         if clash.size == 0:
             break
-        neg_local[clash] = rng.integers(0, graph.n_items, size=clash.size, dtype=np.int64)
+        triples[clash, 2] = n_users + rng.integers(0, n_items, size=clash.size, dtype=np.int64)
         pending = clash
-    triples = np.empty((users.size, 3), dtype=np.int64)
-    triples[:, 0] = users
-    triples[:, 1] = positives[:, 1]
-    triples[:, 2] = neg_local + graph.n_users
     return triples
 
 
@@ -204,15 +204,15 @@ def bpr_gradients(
 
 def holdout_split(
     graph: InteractionGraph, val_fraction: float, rng: np.random.Generator
-) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """Per-user split of edges into training and held-out validation items.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-user split of edges into training and held-out validation edges.
 
     Users keep at least one training edge; single-edge users contribute
     nothing to validation. Returns the surviving training edges as an (E, 3)
-    array in canonical order and a map from user to held-out local item ids.
+    array in canonical order and the ascending `pair_keys` of the held-out
+    edges.
     """
     keep = np.ones(graph.n_edges, dtype=bool)
-    val_items: dict[int, np.ndarray] = {}
     for user in range(graph.n_users):
         lo, hi = int(graph.ui_indptr[user]), int(graph.ui_indptr[user + 1])
         deg = hi - lo
@@ -221,8 +221,7 @@ def holdout_split(
         n_val = min(deg - 1, max(1, int(deg * val_fraction)))
         held = lo + rng.choice(deg, size=n_val, replace=False)
         keep[held] = False
-        val_items[user] = np.sort(graph.edge_item[held] - graph.n_users)
-    return graph.edges()[keep], val_items
+    return graph.edges()[keep], graph.keys[~keep]
 
 
 @dataclass
@@ -252,7 +251,8 @@ def pretrain(
     ranking loss over the training split, and snapshotted whenever held-out
     recall improves; the best snapshot is returned. `max_epochs=0` returns
     the untouched initialization. With `val_fraction=0` there is no holdout
-    and training runs all epochs on the full graph.
+    and training runs all epochs on the full graph. A non-finite loss or
+    gradient raises FloatingPointError (see `check_finite`).
     """
     n = graph.n_nodes
     x = seed_stream(cfg.seed, "init").normal(0.0, init_std, size=(n, dim))
@@ -261,18 +261,17 @@ def pretrain(
         return PretrainResult(embeddings=x)
 
     if cfg.val_fraction > 0.0:
-        train_edges, val_items = holdout_split(
+        train_edges, val_keys = holdout_split(
             graph, cfg.val_fraction, seed_stream(cfg.seed, "val-split")
         )
         train_graph = apply_temporal(
             build_graph(train_edges, graph.n_users, graph.n_items), tau
         )
     else:
-        train_graph, val_items = apply_temporal(graph, tau), {}
+        train_graph, val_keys = apply_temporal(graph, tau), np.empty(0, dtype=np.int64)
     weights = build_weights(train_graph, no_temporal=no_temporal)
 
     positives = np.stack([train_graph.edge_user, train_graph.edge_item], axis=1)
-    seen = _edge_keys(train_graph)
     rng = seed_stream(cfg.seed, "negatives")
     adam = Adam({"x": x}, cfg.learning_rate)
 
@@ -281,18 +280,19 @@ def pretrain(
     for epoch in range(1, cfg.max_epochs + 1):
         order = rng.permutation(positives.shape[0])
         total = 0.0
-        for start in range(0, order.size, cfg.batch_size):
-            batch = positives[order[start : start + cfg.batch_size]]
-            triples = sample_negatives(train_graph, batch, rng)
+        for batch, start in enumerate(range(0, order.size, cfg.batch_size), 1):
+            rows = positives[order[start : start + cfg.batch_size]]
+            triples = sample_negatives(train_graph, rows, rng)
             loss, grad = bpr_gradients(weights, x, triples, n_layers, cfg.l2_reg)
+            check_finite(loss, (grad,), epoch, batch)
             adam.step({"x": grad})
             total += loss
         mean_loss = total / max(positives.shape[0], 1)
 
         record = {"epoch": epoch, "loss": mean_loss, "val_recall": None}
-        if val_items:
+        if val_keys.size:
             z = forward(weights, x, n_layers)
-            report = evaluate_users(z, graph.n_users, val_items, seen, cfg.eval_k)
+            report = evaluate_users(z, graph.n_users, val_keys, train_graph.keys, cfg.eval_k)
             record["val_recall"] = report.mean_recall()
             if record["val_recall"] > best.best_recall or best.best_epoch == 0:
                 best.embeddings = x.copy()
@@ -305,7 +305,7 @@ def pretrain(
             best.embeddings = x.copy()
             best.best_epoch = epoch
         best.log.append(record)
-        if val_items and stale >= cfg.patience:
+        if val_keys.size and stale >= cfg.patience:
             break
     best.optimizer_steps = adam.step_count
     return best

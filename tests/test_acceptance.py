@@ -30,7 +30,7 @@ from dynrec.data import (
     segment_snapshots,
 )
 from dynrec.dynamics import WindowBuffer, interpolative_init, run_dynamic, run_frozen
-from dynrec.evaluation import evaluate_users, ndcg_at_k, rank_items, recall_at_k
+from dynrec.evaluation import evaluate_users, ndcg_at_k, pair_keys, rank_items, recall_at_k
 from dynrec.prompt import GateParams, apply_gate, finetune, gate_gradients, snapshot_retention
 from dynrec.propagation import (
     build_weights,
@@ -507,13 +507,8 @@ def test_criterion_07_synthetic_learnability(capsys):
 
     weights = build_weights(apply_temporal(train_graph, 86_400.0))
     z = forward(weights, result.embeddings, 3)
-    test_items: dict[int, np.ndarray] = {}
-    for user, item, _ in vocab.encode(test).tolist():
-        test_items.setdefault(user, []).append(item - n_users)
-    for user in list(test_items):
-        test_items[user] = np.array(sorted(test_items[user]), dtype=np.int64)
-    seen = train_graph.edge_user * n_items + train_graph.edge_item_local
-    report = evaluate_users(z, n_users, test_items, seen, 20)
+    relevant = pair_keys(vocab.encode(test), n_users, n_items)
+    report = evaluate_users(z, n_users, relevant, train_graph.keys, 20)
     elapsed = time.perf_counter() - started
 
     baseline = 20.0 / n_items

@@ -101,6 +101,10 @@ def test_finetune_config_fixed_epochs_no_validation():
     assert fc.max_epochs == 7 and fc.val_fraction == 0.0
 
 
+def test_train_config_validates_at_the_ranking_cutoff():
+    assert RunConfig(k=5).train_config().eval_k == 5
+
+
 def test_config_from_mapping_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config keys"):
         config_from_mapping({"d": 8, "bogus": 1})
@@ -189,8 +193,7 @@ def test_summary_csv_golden(tmp_path):
 
 
 def test_user_metrics_csv_golden(tmp_path):
-    report = MetricsReport(k=5)
-    report.add(3, 1.0, 0.6309297535714574)
+    report = MetricsReport(5, np.array([3]), np.array([1.0]), np.array([0.6309297535714574]))
     path = str(tmp_path / "users.csv")
     write_user_metrics_csv(path, report)
     assert open(path, encoding="utf-8").read() == (
@@ -352,6 +355,14 @@ def test_cli_exit_codes_for_bad_usage(cli_data, tmp_path):
                  "--quiet", "--config", str(bad)]) == 2
     # runtime failure: report on a directory with no metrics
     assert main(["report", "--run", str(tmp_path / "missing"), "--quiet"]) == 1
+
+
+def test_cli_pretrain_divergence_exits_1_without_artifacts(cli_data, tmp_path):
+    out = tmp_path / "diverged"
+    assert main(["pretrain", "--data", cli_data, "--out", str(out), "--quiet",
+                 *CLI_SETTINGS, "--set", "learning_rate=1e300"]) == 1
+    assert not (out / "pretrain_log.json").exists()
+    assert not (out / "checkpoints").exists()
 
 
 @pytest.mark.parametrize("line", ["1\t2\n", "1\tx\t3\n", f"1\t{2**63}\t3\n"])

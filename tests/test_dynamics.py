@@ -191,6 +191,8 @@ def test_empty_training_snapshot_skips_adaptation():
     assert result.records[0]["warning"] is None
     assert result.records[1]["warning"] is not None
     assert result.records[1]["epochs"] == 0
+    # no user has an edge in the empty training snapshot
+    assert result.records[1]["untuned"]["n_users"] == result.records[1]["n_eval_users"] > 0
 
 
 def test_masking_hides_previously_seen_items_during_evaluation():
@@ -216,6 +218,7 @@ def test_masking_hides_previously_seen_items_during_evaluation():
     result = run_frozen(series, cfg, pretrained=x)
     rec = result.records[-1]
     assert rec["n_eval_users"] == 1
+    assert rec["tuned"]["n_users"] == 1  # user 0 has an edge in the training snapshot
     # relevant reduces to the new item and the old one leaves the candidates
     assert rec["recall"] == 1.0
 

@@ -13,9 +13,9 @@ from dynrec.evaluation import (
     MetricsReport,
     evaluate_users,
     ndcg_at_k,
+    pair_keys,
     rank_items,
     recall_at_k,
-    split_tuned_untuned,
 )
 from helpers import brute_force_ndcg, brute_force_recall, brute_force_topk
 
@@ -30,6 +30,12 @@ def _scores_to_table(user_vec, item_scores):
     for idx, s in enumerate(item_scores):
         x[1 + idx] = [s, 0.0]
     return x
+
+
+def _keys(items_by_user, n_users, n_items):
+    """`pair_keys` of the (user, local item) pairs in a user -> items mapping."""
+    rows = [(u, n_users + i, 0) for u, items in items_by_user.items() for i in items]
+    return pair_keys(np.array(rows, dtype=np.int64).reshape(-1, 3), n_users, n_items)
 
 
 NO_KEYS = np.empty(0, dtype=np.int64)
@@ -114,41 +120,37 @@ def test_metrics_match_brute_force(seed):
 
 
 def test_metrics_report_aggregation_and_subset():
-    report = MetricsReport(k=5)
-    report.add(0, 1.0, 0.5)
-    report.add(3, 0.0, 0.0)
-    report.add(7, 0.5, 0.25)
+    report = MetricsReport(5, np.array([0, 3, 7]), np.array([1.0, 0.0, 0.5]), np.array([0.5, 0.0, 0.25]))
     assert report.n_users == 3
     assert report.mean_recall() == pytest.approx(0.5)
     assert report.mean_ndcg() == pytest.approx(0.25)
-    sub = report.subset({0, 7})
-    assert sub.users == [0, 7] and sub.mean_recall() == 0.75
-    assert MetricsReport(k=5).mean_recall() == 0.0
+    sub = report.subset(np.array([True, False, True]))
+    assert sub.users.tolist() == [0, 7] and sub.mean_recall() == 0.75
+    empty = report.subset(np.zeros(3, dtype=bool))
+    assert empty.n_users == 0 and empty.mean_recall() == 0.0 and empty.mean_ndcg() == 0.0
 
 
 def test_evaluate_users_drops_masked_relevant_and_skips_empty():
     x = _scores_to_table([1.0, 0.0], [9.0, 5.0, 1.0])
-    test_items = {0: np.array([0, 1])}
-    report = evaluate_users(x, 1, test_items, np.array([0]), k=2)
+    report = evaluate_users(x, 1, np.array([0, 1]), np.array([0]), k=2)
     # item 0 is masked away; only item 1 counts, ranked first among unmasked
-    assert report.users == [0]
-    assert report.recalls == [1.0]
-    assert report.ndcgs == [1.0]
+    assert report.users.tolist() == [0]
+    assert report.recalls.tolist() == [1.0]
+    assert report.ndcgs.tolist() == [1.0]
 
-    all_masked = evaluate_users(x, 1, {0: np.array([0])}, np.array([0]), 2)
+    all_masked = evaluate_users(x, 1, np.array([0]), np.array([0]), 2)
     assert all_masked.n_users == 0
 
 
 def test_evaluate_users_candidates_always_include_relevant():
     x = _scores_to_table([1.0, 0.0], [9.0, 5.0, 1.0, 0.5])
-    test_items = {0: np.array([3])}
-    report = evaluate_users(x, 1, test_items, NO_KEYS, k=4, candidates=np.array([0]))
+    report = evaluate_users(x, 1, np.array([3]), NO_KEYS, k=4, candidates=np.array([0]))
     # candidate pool {0} is widened with relevant {3}: recall can reach 1
-    assert report.recalls == [1.0]
+    assert report.recalls.tolist() == [1.0]
 
 
-@given(st.integers(0, 10_000), st.booleans(), st.booleans())
-def test_evaluate_users_matches_brute_force(seed, integer_scores, sampled):
+@given(st.integers(0, 10_000), st.booleans(), st.booleans(), st.booleans())
+def test_evaluate_users_matches_brute_force(seed, integer_scores, sampled, shuffled):
     rng = np.random.default_rng(seed)
     n_users, n_items = int(rng.integers(1, 12)), int(rng.integers(1, 16))
     if integer_scores:  # small integers make exact score ties common
@@ -168,12 +170,13 @@ def test_evaluate_users_matches_brute_force(seed, integer_scores, sampled):
     if sampled:
         candidates = np.sort(rng.choice(n_items, size=int(rng.integers(1, n_items + 1)), replace=False))
     k = int(rng.integers(1, n_items + 4))  # often more than the rankable items
-    seen_keys = np.array(
-        sorted(u * n_items + i for u, items in seen.items() for i in items), dtype=np.int64
-    )
+    seen_keys = np.sort(_keys(seen, n_users, n_items))
+    relevant_keys = _keys(test_items, n_users, n_items)
+    if shuffled:  # relevant keys may come in any order and with repeats
+        relevant_keys = rng.permutation(np.concatenate([relevant_keys, relevant_keys[::2]]))
     with pytest.MonkeyPatch.context() as mp:  # one to three users per block
         mp.setattr(evaluation, "BLOCK_BYTES", 8 * n_items * int(rng.integers(1, 4)))
-        report = evaluate_users(x, n_users, test_items, seen_keys, k, candidates)
+        report = evaluate_users(x, n_users, relevant_keys, seen_keys, k, candidates)
 
     expected = []
     for user in sorted(test_items):
@@ -185,7 +188,7 @@ def test_evaluate_users_matches_brute_force(seed, integer_scores, sampled):
         expected.append(
             (user, brute_force_recall(ref, relevant), brute_force_ndcg(ref, relevant, k))
         )
-    assert list(zip(report.users, report.recalls, report.ndcgs)) == expected
+    assert list(zip(report.users.tolist(), report.recalls.tolist(), report.ndcgs.tolist())) == expected
 
 
 def test_evaluate_users_memory_is_bounded_by_the_block():
@@ -193,18 +196,13 @@ def test_evaluate_users_memory_is_bounded_by_the_block():
     n_users, n_items = 4000, 2000
     x = rng.normal(size=(n_users + n_items, 16))
     seen = np.unique(rng.integers(0, n_users * n_items, size=40_000))
-    test_items = {u: np.sort(rng.choice(n_items, size=5, replace=False)) for u in range(n_users)}
+    relevant = _keys({u: rng.choice(n_items, size=5, replace=False) for u in range(n_users)}, n_users, n_items)
     tracemalloc.start()
     try:
-        report = evaluate_users(x, n_users, test_items, seen, 20)
+        report = evaluate_users(x, n_users, relevant, seen, 20)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert report.n_users == n_users
     # a full users x items score matrix alone would take 64 MB
     assert peak < 6 * 2**20
-
-
-def test_split_tuned_untuned():
-    tuned, untuned = split_tuned_untuned({1, 2, 3}, {2, 3, 9})
-    assert tuned == {2, 3} and untuned == {1}

@@ -161,7 +161,7 @@ def test_build_prompt_graph_zero_retention_drops_snapshot():
     ]
     g = build_prompt_graph(pre, snaps, phi=-1.0, rng=seed_stream(0, "prompt"), tau=60.0)
     # retention (0, 0, 1): only the newest snapshot contributes
-    assert g.undirected_edges() == {(0, 2), (1, 4)}
+    assert g.edges()[:, :2].tolist() == [[0, 2], [1, 4]]
 
 
 def test_build_prompt_graph_is_deterministic():
@@ -192,6 +192,13 @@ def _finetune_setup():
         learning_rate=1e-2, batch_size=4, max_epochs=3, patience=3, val_fraction=0.0
     )
     return g, x_in, cfg
+
+
+def test_finetune_raises_on_a_non_finite_loss():
+    g, x_in, cfg = _finetune_setup()
+    x_in[0, 0] = np.inf
+    with pytest.raises(FloatingPointError, match="epoch 1, batch 1"):
+        finetune(g, x_in, cfg, 2, seed_stream(0, "finetune", 0))
 
 
 def test_finetune_input_table_is_bitwise_unchanged():

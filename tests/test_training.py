@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dynrec.data import apply_temporal, build_graph
+from dynrec.evaluation import pair_keys
 from dynrec.propagation import build_weights, forward
 from dynrec.rng import seed_stream
 from dynrec.training import (
@@ -106,13 +107,11 @@ def test_sample_negatives_avoids_observed_edges(seed):
     g = _graph(kept, n_users, n_items)
     positives = np.stack([g.edge_user, g.edge_item], axis=1)
     triples = sample_negatives(g, positives, np.random.default_rng(seed + 1))
-    observed = g.undirected_edges()
     assert triples.shape == (g.n_edges, 3)
     assert triples.dtype == np.int64
-    for u, i, j in triples:
-        assert (int(u), int(j)) not in observed
-        assert n_users <= j < n_users + n_items
-        assert (int(u), int(i)) in observed
+    assert ((n_users <= triples[:, 2]) & (triples[:, 2] < n_users + n_items)).all()
+    assert np.isin(pair_keys(triples[:, :2], n_users, n_items), g.keys).all()
+    assert not np.isin(pair_keys(triples[:, ::2], n_users, n_items), g.keys).any()
 
 
 def test_sample_negatives_rejects_saturated_user():
@@ -197,16 +196,18 @@ def test_holdout_split_preserves_training_edges_per_user(seed):
     n_users, n_items = 5, 8
     n_edges = int(rng.integers(1, n_users * n_items))
     g = _graph(random_bipartite_edges(rng, n_users, n_items, n_edges), n_users, n_items)
-    train_edges, val_items = holdout_split(g, 0.25, np.random.default_rng(seed))
+    train_edges, val_keys = holdout_split(g, 0.25, np.random.default_rng(seed))
+    assert (np.diff(val_keys) > 0).all()
+    val_user, val_item = np.divmod(val_keys, n_items)
     train_by_user: dict[int, set[int]] = {}
     for user, item, _ in train_edges.tolist():
         train_by_user.setdefault(user, set()).add(item - n_users)
     for user in range(n_users):
         deg = int(g.user_degrees()[user])
         if deg == 0:
-            assert user not in train_by_user and user not in val_items
+            assert user not in train_by_user and user not in val_user
             continue
-        held = set(val_items.get(user, np.empty(0, dtype=np.int64)).tolist())
+        held = set(val_item[val_user == user].tolist())
         kept = train_by_user.get(user, set())
         assert len(kept) >= 1  # every active user keeps a training edge
         assert not held & kept  # no leakage between splits
@@ -262,6 +263,14 @@ def test_pretrain_is_deterministic():
     b = pretrain(g, 4, 2, 3600.0, cfg)
     assert a.embeddings.tobytes() == b.embeddings.tobytes()
     assert a.log == b.log
+
+
+def test_pretrain_raises_when_training_diverges():
+    g = _graph(_block_edges(), 6, 6)
+    cfg = TrainConfig(learning_rate=1e300, batch_size=8, max_epochs=3, patience=3)
+    # the first step moves every row by about 1e300, so the next batch's scores overflow
+    with pytest.raises(FloatingPointError, match="epoch 1, batch 2"):
+        pretrain(g, 4, 2, 3600.0, cfg)
 
 
 def test_pretrain_no_validation_trains_all_epochs_keeping_last():
