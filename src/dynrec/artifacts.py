@@ -35,12 +35,8 @@ def read_json(path: str):
         return json.load(fh)
 
 
-def sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def sha256_text(text: str) -> str:
-    return sha256_bytes(text.encode("utf-8"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def sha256_file(path: str) -> str:

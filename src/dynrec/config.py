@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterable
 
 
 @dataclass(frozen=True)
@@ -200,10 +200,3 @@ def load_config(path: str, overrides: Iterable[str] = ()) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh, overrides)
 
-
-def config_from_mapping(values: Mapping) -> RunConfig:
-    """Rebuild a RunConfig from a plain dict (e.g. a saved manifest)."""
-    unknown = set(values) - set(_FIELDS)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return RunConfig(**dict(values))

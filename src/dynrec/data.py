@@ -4,7 +4,7 @@ Input data is a log of (user, item, unix-timestamp) triples. Users and items
 are remapped onto one global id space (users first, then items) so a single
 embedding table serves both. The log is split into a pre-training graph plus
 a sequence of fixed-width time-slot snapshots, and each edge set can be built
-into an immutable bidirectional CSR graph carrying per-edge time attributes:
+into an immutable user-grouped CSR graph carrying per-edge time attributes:
 the raw timestamp, a relative timestep (timestamp offset divided by the
 interval `tau`, floored) and that timestep min-max normalized into [0, 1].
 
@@ -124,10 +124,10 @@ def load_interactions(path: str) -> tuple[np.ndarray, Vocabulary]:
 
 @dataclass(frozen=True)
 class InteractionGraph:
-    """Immutable bidirectional sparse user-item graph with per-edge time attributes.
+    """Immutable sparse user-item graph with per-edge time attributes.
 
     Edges are stored once, in canonical order (sorted by user then item), with
-    CSR index structures for both directions. `edge_item` holds global ids
+    a CSR row pointer grouping them by user. `edge_item` holds global ids
     (already offset by `n_users`). `edge_step` / `edge_time_norm` are None
     until temporal attributes are attached via `apply_temporal`.
     """
@@ -138,8 +138,6 @@ class InteractionGraph:
     edge_item: np.ndarray  # (E,) global item id per canonical edge
     edge_ts: np.ndarray  # (E,) unix timestamp
     ui_indptr: np.ndarray  # (n_users+1,) canonical edges grouped by user
-    iu_indptr: np.ndarray  # (n_items+1,) edges grouped by item
-    iu_edge: np.ndarray  # (E,) canonical edge index in item-grouped order
     edge_step: np.ndarray | None = None
     edge_time_norm: np.ndarray | None = None
 
@@ -159,19 +157,10 @@ class InteractionGraph:
         return np.diff(self.ui_indptr)
 
     def item_degrees(self) -> np.ndarray:
-        return np.diff(self.iu_indptr)
+        return np.bincount(self.edge_item_local, minlength=self.n_items)
 
     def node_degrees(self) -> np.ndarray:
         return np.concatenate([self.user_degrees(), self.item_degrees()])
-
-    def user_items(self, user: int) -> np.ndarray:
-        """Global item ids interacted by `user`, ascending."""
-        return self.edge_item[self.ui_indptr[user] : self.ui_indptr[user + 1]]
-
-    def item_users(self, item_local: int) -> np.ndarray:
-        """User ids that interacted with local item `item_local`, ascending."""
-        sel = self.iu_edge[self.iu_indptr[item_local] : self.iu_indptr[item_local + 1]]
-        return self.edge_user[sel]
 
     @cached_property
     def keys(self) -> np.ndarray:
@@ -204,12 +193,8 @@ def build_graph(edges: np.ndarray, n_users: int, n_items: int) -> InteractionGra
         keep[:-1][same] = False
         user, item, ts = user[keep], item[keep], ts[keep]
 
-    item_local = item - n_users
     ui_counts = np.bincount(user, minlength=n_users) if user.size else np.zeros(n_users, dtype=np.int64)
-    iu_counts = np.bincount(item_local, minlength=n_items) if user.size else np.zeros(n_items, dtype=np.int64)
     ui_indptr = np.concatenate([[0], np.cumsum(ui_counts)]).astype(np.int64)
-    iu_indptr = np.concatenate([[0], np.cumsum(iu_counts)]).astype(np.int64)
-    iu_edge = np.lexsort((user, item_local)).astype(np.int64)
     return InteractionGraph(
         n_users=n_users,
         n_items=n_items,
@@ -217,8 +202,6 @@ def build_graph(edges: np.ndarray, n_users: int, n_items: int) -> InteractionGra
         edge_item=item,
         edge_ts=ts,
         ui_indptr=ui_indptr,
-        iu_indptr=iu_indptr,
-        iu_edge=iu_edge,
     )
 
 

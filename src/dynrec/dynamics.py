@@ -18,53 +18,35 @@ cycle's training snapshot.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from .config import RunConfig
 from .data import SnapshotSeries, apply_temporal, build_graph
 from .evaluation import MetricsReport, evaluate_users, pair_keys
-from .prompt import GateParams, build_prompt_graph, finetune, prompt_forward, random_gate
+from .prompt import GateParams, apply_gate, build_prompt_graph, finetune
 from .propagation import build_weights, forward
 from .rng import seed_stream
 from .training import PretrainResult, pretrain
 
 
-class WindowBuffer:
-    """Fixed-capacity history of embedding tables, most recent first."""
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._tables: list[np.ndarray] = []
-
-    def push(self, table: np.ndarray) -> None:
-        self._tables.insert(0, table)
-        del self._tables[self.capacity :]
-
-    @property
-    def tables(self) -> tuple[np.ndarray, ...]:
-        return tuple(self._tables)
-
-    def __len__(self) -> int:
-        return len(self._tables)
-
-
-def interpolative_init(x_p: np.ndarray, buffer: WindowBuffer) -> np.ndarray:
+def interpolative_init(x_p: np.ndarray, window: Sequence[np.ndarray]) -> np.ndarray:
     """Blend the pre-trained table with a weighted mix of recent tables.
 
-    The mix weights the table from i cycles ago proportionally to i (the
-    newest entry counts least), normalized over the window actually filled;
-    the result is averaged half-and-half with the pre-trained table. An
-    empty window returns a copy of the pre-trained table.
+    `window` holds recent cycles' tables, newest first. The mix weights the
+    table from i cycles ago proportionally to i (the newest entry counts
+    least), normalized over the window actually filled; the result is
+    averaged half-and-half with the pre-trained table. An empty window
+    returns a copy of the pre-trained table.
     """
-    w = len(buffer)
+    w = len(window)
     if w == 0:
         return x_p.copy()
     weights = np.arange(1, w + 1, dtype=np.float64)
-    mix = sum(wt * tab for wt, tab in zip(weights, buffer.tables))
+    mix = sum(wt * tab for wt, tab in zip(weights, window))
     mix /= weights.sum()
     return 0.5 * (x_p + mix)
 
@@ -219,7 +201,7 @@ def run_dynamic(
     x_p, pretrain_log = _ensure_pretrained(series, cfg, pretrained)
     result = DynamicResult(pretrain_log=pretrain_log, pretrained=x_p)
     n_users, n_items = series.n_users, series.n_items
-    buffer = WindowBuffer(cfg.omega)
+    window: deque[np.ndarray] = deque(maxlen=cfg.omega)  # newest first
     seen = pair_keys(series.pretrain.edges(), n_users, n_items)
 
     for k in range(series.n_snapshots - 1):
@@ -230,7 +212,7 @@ def run_dynamic(
         if cfg.no_interp_update:
             x_init = x_p.copy()
         else:
-            x_init = interpolative_init(x_p, buffer)
+            x_init = interpolative_init(x_p, window)
 
         if cfg.no_prompt_tuning:
             x_n0 = x_init
@@ -242,11 +224,13 @@ def run_dynamic(
                 seed_stream(cfg.seed, "prompt", k),
                 cfg.tau_seconds,
             )
-            x_g = random_gate(
-                x_init, seed_stream(cfg.seed, "gate", k), cfg.random_gate_std
+            # a throwaway random gate, then one pass over the condensed history
+            gate_rng = seed_stream(cfg.seed, "gate", k)
+            x_g = apply_gate(
+                x_init, GateParams.random(x_init.shape[1], gate_rng, cfg.random_gate_std)
             )
-            x_n0 = prompt_forward(
-                x_g, prompt_graph, cfg.layers, no_temporal=cfg.no_temporal
+            x_n0 = forward(
+                build_weights(prompt_graph, no_temporal=cfg.no_temporal), x_g, cfg.layers
             )
 
         gate = None
@@ -289,7 +273,7 @@ def run_dynamic(
             optimizer_steps=opt_steps,
             warning=warning,
         )
-        buffer.push(x_n)
+        window.appendleft(x_n)
     return result
 
 

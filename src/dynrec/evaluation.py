@@ -90,21 +90,6 @@ def rank_items(
     return ranked
 
 
-def recall_at_k(ranked: np.ndarray, relevant: np.ndarray) -> float:
-    """Fraction of the relevant set present in the ranked list."""
-    if relevant.size == 0:
-        raise ValueError("recall undefined for an empty relevant set")
-    hits = np.intersect1d(ranked, relevant).size
-    return hits / float(relevant.size)
-
-
-def ndcg_at_k(ranked: np.ndarray, relevant: np.ndarray, k: int) -> float:
-    """Binary-gain normalized DCG with the ideal over min(|relevant|, k)."""
-    if relevant.size == 0:
-        raise ValueError("ndcg undefined for an empty relevant set")
-    return _ndcg(np.isin(ranked[:k], relevant), min(relevant.size, k))
-
-
 def _ndcg(hit: np.ndarray, ideal_n: int) -> float:
     """nDCG of a ranked list whose hits are the nonzero entries of `hit`."""
     positions = np.flatnonzero(hit) + 1  # 1-based ranks of the hits
@@ -151,8 +136,9 @@ def evaluate_users(
     repeats allowed; `seen` the sorted keys to hide (repeats are harmless).
     Relevant pairs that are also seen are dropped; users left with nothing
     relevant are skipped entirely. Under sampled `candidates` each user's
-    relevant items stay rankable. Metrics equal `recall_at_k` and `ndcg_at_k`
-    on each user's ranked list bit for bit.
+    relevant items stay rankable. A user's recall is the share of their
+    relevant items in their top `k`; their nDCG is binary-gain DCG over the
+    top `k` divided by the ideal DCG of min(|relevant|, k) hits.
     """
     n_items = x.shape[0] - n_users
     relevant = np.unique(relevant)

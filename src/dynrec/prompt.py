@@ -65,13 +65,6 @@ def gate_gradients(
     return m.T @ x_in, m.sum(axis=0)
 
 
-def random_gate(
-    x: np.ndarray, rng: np.random.Generator, std: float = 0.05
-) -> np.ndarray:
-    """Pass `x` through a freshly sampled throwaway gate (nothing is kept)."""
-    return apply_gate(x, GateParams.random(x.shape[1], rng, std))
-
-
 def snapshot_retention(n: int, phi: float) -> np.ndarray:
     """Per-snapshot edge retention fractions, oldest first, clamped to [0, 1].
 
@@ -118,18 +111,6 @@ def build_prompt_graph(
         np.concatenate(parts), pretrain_graph.n_users, pretrain_graph.n_items
     )
     return apply_temporal(graph, tau)
-
-
-def prompt_forward(
-    x: np.ndarray,
-    prompt_graph: InteractionGraph,
-    n_layers: int,
-    *,
-    no_temporal: bool = False,
-) -> np.ndarray:
-    """One propagation pass over the condensed history graph."""
-    weights = build_weights(prompt_graph, no_temporal=no_temporal)
-    return forward(weights, x, n_layers)
 
 
 @dataclass

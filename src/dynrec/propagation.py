@@ -9,11 +9,12 @@ normalized edge timesteps, so a node's most recent interactions carry the
 largest share of its incoming mass. With temporal weighting disabled the
 weight falls back to the plain symmetric-normalized 1 / sqrt(deg_dst * deg_src).
 
-Propagation itself is linear: one layer is a sparse matrix-vector product
-per embedding column, and the final representation averages layers 0..L.
-Because the map from initial embeddings to final ones is linear, its adjoint
-(needed for gradient computation) is the same accumulation run with the
-transposed operator.
+`build_weights` assembles these weights into one sparse operator and its
+transpose; `temporal_softmax` computes the alpha shares it uses. Propagation
+itself is linear: `forward` applies the operator once per layer and averages
+layers 0..L. Because the map from initial embeddings to final ones is linear,
+its adjoint `forward_backward` (needed for gradient computation) is the same
+accumulation run with the transposed operator.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def temporal_softmax(graph: InteractionGraph) -> tuple[np.ndarray, np.ndarray]:
     # user side: canonical order is already grouped by user
     denom_u = np.bincount(graph.edge_user, weights=ex, minlength=graph.n_users)
     alpha_ui = ex / denom_u[graph.edge_user]
-    # item side: group via the item-sorted permutation
+    # item side: the same sums, keyed by local item id
     denom_i = np.bincount(graph.edge_item_local, weights=ex, minlength=graph.n_items)
     alpha_iu = ex / denom_i[graph.edge_item_local]
     return alpha_ui, alpha_iu
@@ -49,15 +50,13 @@ def temporal_softmax(graph: InteractionGraph) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class PropagationWeights:
-    """Directed edge weights plus the assembled sparse propagation operator.
+    """The sparse one-step propagation operator and its transpose.
 
     `matrix` maps node values to node values: row = destination, column =
     source. `isolated` marks nodes with no edges; the forward pass keeps
     their layer-0 rows instead of averaging in zeros.
     """
 
-    w_ui: np.ndarray  # (E,) weight item -> user, canonical edge order
-    w_iu: np.ndarray  # (E,) weight user -> item, canonical edge order
     matrix: sp.csr_matrix  # (N, N) one propagation step
     matrix_t: sp.csr_matrix  # transpose, for the adjoint pass
     isolated: np.ndarray  # (N,) bool
@@ -67,61 +66,31 @@ class PropagationWeights:
         return self.matrix.shape[0]
 
 
-def edge_weights(
-    graph: InteractionGraph,
-    alpha_ui: np.ndarray | None = None,
-    alpha_iu: np.ndarray | None = None,
-    *,
-    no_temporal: bool = False,
+def build_weights(
+    graph: InteractionGraph, *, no_temporal: bool = False
 ) -> PropagationWeights:
-    """Assemble directed edge weights and the sparse one-step operator."""
+    """Assemble the directed edge weights into the sparse one-step operator.
+
+    The graph must carry temporal attributes unless `no_temporal` is set.
+    """
     deg = graph.node_degrees().astype(np.float64)
     deg_u = deg[graph.edge_user]
     deg_i = deg[graph.edge_item]
     with np.errstate(divide="ignore", invalid="ignore"):
         sym = 1.0 / np.sqrt(deg_u * deg_i)
     if no_temporal:
-        w_ui = sym.copy()
-        w_iu = sym.copy()
+        w_into_user = w_into_item = sym
     else:
-        if alpha_ui is None or alpha_iu is None:
-            alpha_ui, alpha_iu = temporal_softmax(graph)
-        w_ui = 0.5 * sym + 0.5 * alpha_ui
-        w_iu = 0.5 * sym + 0.5 * alpha_iu
+        alpha_ui, alpha_iu = temporal_softmax(graph)
+        w_into_user = 0.5 * sym + 0.5 * alpha_ui
+        w_into_item = 0.5 * sym + 0.5 * alpha_iu
 
     n = graph.n_nodes
     rows = np.concatenate([graph.edge_user, graph.edge_item])
     cols = np.concatenate([graph.edge_item, graph.edge_user])
-    vals = np.concatenate([w_ui, w_iu])
+    vals = np.concatenate([w_into_user, w_into_item])
     matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    isolated = deg == 0
-    return PropagationWeights(
-        w_ui=w_ui,
-        w_iu=w_iu,
-        matrix=matrix,
-        matrix_t=matrix.T.tocsr(),
-        isolated=isolated,
-    )
-
-
-def build_weights(
-    graph: InteractionGraph, *, no_temporal: bool = False
-) -> PropagationWeights:
-    """Edge weights for a graph that already carries temporal attributes."""
-    if no_temporal:
-        return edge_weights(graph, no_temporal=True)
-    alpha_ui, alpha_iu = temporal_softmax(graph)
-    return edge_weights(graph, alpha_ui, alpha_iu)
-
-
-def propagate_layer(weights: PropagationWeights, x: np.ndarray) -> np.ndarray:
-    """One propagation step: gather weighted neighbor rows into each node."""
-    return np.asarray(weights.matrix @ x)
-
-
-def propagate_transpose(weights: PropagationWeights, g: np.ndarray) -> np.ndarray:
-    """One step of the adjoint operator (scatter back along edges)."""
-    return np.asarray(weights.matrix_t @ g)
+    return PropagationWeights(matrix=matrix, matrix_t=matrix.T.tocsr(), isolated=deg == 0)
 
 
 def forward(
@@ -137,7 +106,7 @@ def forward(
     acc = x0.copy()
     x = x0
     for _ in range(n_layers):
-        x = propagate_layer(weights, x)
+        x = weights.matrix @ x
         acc += x
     out = acc / float(n_layers + 1)
     if n_layers and weights.isolated.any():
@@ -162,7 +131,7 @@ def forward_backward(
     acc = g.copy()
     cur = g
     for _ in range(n_layers):
-        cur = propagate_transpose(weights, cur)
+        cur = weights.matrix_t @ cur
         acc += cur
     grad_x0 = acc / float(n_layers + 1)
     if n_layers and weights.isolated.any():

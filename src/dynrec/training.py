@@ -252,7 +252,8 @@ def pretrain(
     recall improves; the best snapshot is returned. `max_epochs=0` returns
     the untouched initialization. With `val_fraction=0` there is no holdout
     and training runs all epochs on the full graph. A non-finite loss or
-    gradient raises FloatingPointError (see `check_finite`).
+    gradient raises FloatingPointError (see `check_finite`), and so does a
+    table whose validation scores overflow.
     """
     n = graph.n_nodes
     x = seed_stream(cfg.seed, "init").normal(0.0, init_std, size=(n, dim))
@@ -291,8 +292,17 @@ def pretrain(
 
         record = {"epoch": epoch, "loss": mean_loss, "val_recall": None}
         if val_keys.size:
-            z = forward(weights, x, n_layers)
-            report = evaluate_users(z, graph.n_users, val_keys, train_graph.keys, cfg.eval_k)
+            # a last step can leave a finite table whose scores overflow
+            try:
+                with np.errstate(over="raise"):
+                    z = forward(weights, x, n_layers)
+                    report = evaluate_users(
+                        z, graph.n_users, val_keys, train_graph.keys, cfg.eval_k
+                    )
+            except FloatingPointError as exc:
+                raise FloatingPointError(
+                    f"training diverged: validation scores overflow at epoch {epoch}"
+                ) from exc
             record["val_recall"] = report.mean_recall()
             if record["val_recall"] > best.best_recall or best.best_epoch == 0:
                 best.embeddings = x.copy()

@@ -15,6 +15,7 @@ import functools
 import math
 import os
 import time
+from collections import deque
 
 import numpy as np
 
@@ -29,17 +30,10 @@ from dynrec.data import (
     relative_timesteps,
     segment_snapshots,
 )
-from dynrec.dynamics import WindowBuffer, interpolative_init, run_dynamic, run_frozen
-from dynrec.evaluation import evaluate_users, ndcg_at_k, pair_keys, rank_items, recall_at_k
+from dynrec.dynamics import interpolative_init, run_dynamic, run_frozen
+from dynrec.evaluation import evaluate_users, pair_keys, rank_items
 from dynrec.prompt import GateParams, apply_gate, finetune, gate_gradients, snapshot_retention
-from dynrec.propagation import (
-    build_weights,
-    forward,
-    forward_backward,
-    propagate_layer,
-    propagate_transpose,
-    temporal_softmax,
-)
+from dynrec.propagation import build_weights, forward, forward_backward, temporal_softmax
 from dynrec.synthetic import drift_series, planted_blocks, split_by_user, write_tsv
 from dynrec.training import TrainConfig, bpr_gradients, bpr_loss, pretrain
 from helpers import (
@@ -100,8 +94,8 @@ def test_criterion_01_propagation_oracle(capsys):
 
         worst_product = max(
             worst_product,
-            float(np.max(np.abs(propagate_layer(weights, x0) - mat @ x0))),
-            float(np.max(np.abs(propagate_transpose(weights, y) - mat.T @ y))),
+            float(np.max(np.abs(weights.matrix @ x0 - mat @ x0))),
+            float(np.max(np.abs(weights.matrix_t @ y - mat.T @ y))),
         )
         ours = forward(weights, x0, n_layers)
         ref = dense_forward(mat, x0, n_layers, degrees)
@@ -168,7 +162,7 @@ def test_criterion_02_temporal_softmax(capsys):
             sel = slice(graph.ui_indptr[user], graph.ui_indptr[user + 1])
             check_neighborhood(t[sel], alpha_ui[sel])
         for item in range(n_items):
-            idx = graph.iu_edge[graph.iu_indptr[item] : graph.iu_indptr[item + 1]]
+            idx = np.flatnonzero(graph.edge_item_local == item)
             check_neighborhood(t[idx], alpha_iu[idx])
     ok = worst_sum <= 1e-9 and violations == 0
     _report(
@@ -319,10 +313,10 @@ def test_criterion_04_formula_exactness(capsys):
         rows = int(rng.integers(1, 7))
         x_p = rng.normal(size=(rows, d))
         window = int(rng.integers(0, 4))
-        buf = WindowBuffer(3)
+        buf = deque(maxlen=3)
         tables = [rng.normal(size=(rows, d)) for _ in range(window)]
         for tab in tables:
-            buf.push(tab)
+            buf.appendleft(tab)
         got = interpolative_init(x_p, buf)
         if window == 0:
             want = x_p
@@ -336,9 +330,9 @@ def test_criterion_04_formula_exactness(capsys):
     if worst_interp > 1e-12:
         failures.append("interpolation")
     # frozen hand value: x_p=2, window (newest 4, older 10) -> (2 + 8)/2
-    buf = WindowBuffer(2)
-    buf.push(np.array([[10.0]]))
-    buf.push(np.array([[4.0]]))
+    buf = deque(maxlen=2)
+    buf.appendleft(np.array([[10.0]]))
+    buf.appendleft(np.array([[4.0]]))
     if interpolative_init(np.array([[2.0]]), buf).tolist() != [[5.0]]:
         failures.append("interpolation-hand")
 
@@ -378,7 +372,8 @@ def test_criterion_05_metric_oracles(capsys):
             )
         if relevant.size == 0:
             continue
-        ranked = rank_items(x, 1, np.array([0]), np.flatnonzero(mask), k, candidates)[0]
+        seen = np.flatnonzero(mask)  # user 0's keys are its local item ids
+        ranked = rank_items(x, 1, np.array([0]), seen, k, candidates)[0]
         ranked = ranked[ranked >= 0]
         ref = brute_force_topk(
             x,
@@ -392,15 +387,20 @@ def test_criterion_05_metric_oracles(capsys):
         if ranked.tolist() != ref:
             mismatches += 1
             continue
-        if recall_at_k(ranked, relevant) != brute_force_recall(ref, rel_set):
+        report = evaluate_users(x, 1, relevant, seen, k, candidates)
+        if report.users.tolist() != [0]:
             mismatches += 1
-        if ndcg_at_k(ranked, relevant, k) != brute_force_ndcg(ref, rel_set, k):
+            continue
+        if report.recalls[0] != brute_force_recall(ref, rel_set):
+            mismatches += 1
+        if report.ndcgs[0] != brute_force_ndcg(ref, rel_set, k):
             mismatches += 1
 
     # single relevant item at rank 2: nDCG is 1/log2(3)
     x = np.array([[1.0, 0.0], [10.0, 0.0], [9.0, 0.0], [1.0, 0.0]])
-    ranked = rank_items(x, 1, np.array([0]), np.empty(0, dtype=np.int64), 20)[0]
-    rank2 = ndcg_at_k(ranked, np.array([1]), 20)
+    no_keys = np.empty(0, dtype=np.int64)
+    ranked = rank_items(x, 1, np.array([0]), no_keys, 20)[0]
+    rank2 = float(evaluate_users(x, 1, np.array([1]), no_keys, 20).ndcgs[0])
     exact = abs(rank2 - 0.6309297535714574) < 1e-15 and ranked[1] == 1
 
     ok = mismatches == 0 and exact

@@ -4,6 +4,7 @@ from __future__ import annotations
 import io
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from dynrec.artifacts import (
     write_user_metrics_csv,
 )
 from dynrec.cli import main
-from dynrec.config import RunConfig, config_from_mapping, load_config, parse_config
+from dynrec.config import RunConfig, load_config, parse_config
 from dynrec.data import DataError
 from dynrec.evaluation import MetricsReport
 from dynrec.prompt import GateParams
@@ -31,7 +32,7 @@ from dynrec.synthetic import drift_series, write_tsv
 
 def test_defaults_round_trip_through_mapping():
     cfg = RunConfig()
-    assert config_from_mapping(cfg.to_dict()) == cfg
+    assert RunConfig(**cfg.to_dict()) == cfg
 
 
 def test_parse_config_file_and_overrides():
@@ -105,11 +106,6 @@ def test_train_config_validates_at_the_ranking_cutoff():
     assert RunConfig(k=5).train_config().eval_k == 5
 
 
-def test_config_from_mapping_rejects_unknown_keys():
-    with pytest.raises(ValueError, match="unknown config keys"):
-        config_from_mapping({"d": 8, "bogus": 1})
-
-
 # -- artifacts -------------------------------------------------------------
 
 
@@ -160,7 +156,7 @@ def test_checkpoint_refuses_flipped_array_byte(tmp_path):
     out = str(tmp_path / "ckpt")
     write_checkpoint(out, np.arange(12.0).reshape(4, 3), kind="pretrain", n_users=2, n_items=2)
     path = os.path.join(out, "embeddings.npy")
-    data = bytearray(open(path, "rb").read())
+    data = bytearray(Path(path).read_bytes())
     data[-1] ^= 0x01  # last byte of the last float: same shape, other value
     with open(path, "wb") as fh:
         fh.write(data)
@@ -187,7 +183,7 @@ def test_summary_csv_golden(tmp_path):
     ]
     path = str(tmp_path / "summary.csv")
     write_summary_csv(path, records)
-    lines = open(path, encoding="utf-8").read().splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     assert lines[0].startswith("cycle,train_snapshot,test_snapshot")
     assert lines[1] == "1,1,2,3,2,0.5,0.25,1,1.0,0.5,1,0.0,0.0,4,0.0,"
 
@@ -196,7 +192,7 @@ def test_user_metrics_csv_golden(tmp_path):
     report = MetricsReport(5, np.array([3]), np.array([1.0]), np.array([0.6309297535714574]))
     path = str(tmp_path / "users.csv")
     write_user_metrics_csv(path, report)
-    assert open(path, encoding="utf-8").read() == (
+    assert Path(path).read_text(encoding="utf-8") == (
         "user,recall,ndcg\n3,1.0,0.6309297535714574\n"
     )
 
@@ -292,8 +288,8 @@ def test_run_dynamic_without_checkpoint_matches(cli_data, pretrain_run, tmp_path
                  "--pretrained", pretrain_run, *CLI_SETTINGS]) == 0
     assert main(["run-dynamic", "--data", cli_data, "--out", scratch, "--quiet",
                  *CLI_SETTINGS]) == 0
-    a = open(os.path.join(with_ckpt, "metrics.json"), "rb").read()
-    b = open(os.path.join(scratch, "metrics.json"), "rb").read()
+    a = Path(with_ckpt, "metrics.json").read_bytes()
+    b = Path(scratch, "metrics.json").read_bytes()
     assert a == b
 
 
@@ -361,6 +357,17 @@ def test_cli_pretrain_divergence_exits_1_without_artifacts(cli_data, tmp_path):
     out = tmp_path / "diverged"
     assert main(["pretrain", "--data", cli_data, "--out", str(out), "--quiet",
                  *CLI_SETTINGS, "--set", "learning_rate=1e300"]) == 1
+    assert not (out / "pretrain_log.json").exists()
+    assert not (out / "checkpoints").exists()
+
+
+def test_cli_pretrain_exits_1_when_the_last_step_overflows(cli_data, tmp_path):
+    # one batch and one epoch: the only Adam step leaves a finite table near
+    # 1e300, so the per-batch check passes and validation scoring overflows
+    out = tmp_path / "overflowed"
+    assert main(["pretrain", "--data", cli_data, "--out", str(out), "--quiet", *CLI_SETTINGS,
+                 "--set", "learning_rate=1e300", "--set", "batch_size=100000",
+                 "--set", "max_epochs=1", "--set", "patience=1"]) == 1
     assert not (out / "pretrain_log.json").exists()
     assert not (out / "checkpoints").exists()
 

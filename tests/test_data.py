@@ -113,10 +113,11 @@ def test_build_graph_collapses_duplicates_keeping_latest_timestamp():
 def test_build_graph_neighbor_queries():
     edges = edge_array([(0, 2, 1), (0, 3, 2), (1, 3, 3)])
     g = build_graph(edges, n_users=2, n_items=2)
-    assert g.user_items(0).tolist() == [2, 3]
-    assert g.user_items(1).tolist() == [3]
-    assert g.item_users(0).tolist() == [0]
-    assert g.item_users(1).tolist() == [0, 1]
+    # neighbors through the canonical edges: the items of a user, the users of an item
+    assert g.edge_item[g.edge_user == 0].tolist() == [2, 3]
+    assert g.edge_item[g.edge_user == 1].tolist() == [3]
+    assert g.edge_user[g.edge_item_local == 0].tolist() == [0]
+    assert g.edge_user[g.edge_item_local == 1].tolist() == [0, 1]
     assert g.user_degrees().tolist() == [2, 1]
     assert g.item_degrees().tolist() == [1, 2]
     assert g.node_degrees().tolist() == [2, 1, 1, 2]
@@ -133,7 +134,7 @@ def test_build_graph_empty_edge_list():
     g = build_graph(edge_array([]), n_users=3, n_items=2)
     assert g.n_edges == 0
     assert g.ui_indptr.tolist() == [0, 0, 0, 0]
-    assert g.iu_indptr.tolist() == [0, 0, 0]
+    assert g.item_degrees().tolist() == [0, 0]
 
 
 @given(interaction_arrays)
@@ -142,17 +143,18 @@ def test_graph_invariants(raw):
     g = build_graph(vocab.encode(raw), vocab.n_users, vocab.n_items)
     # one edge per distinct (user, item) pair
     assert g.n_edges == len({(u, i) for u, i, _ in raw.tolist()})
-    # indptrs are monotone and bound the edge array
+    # the indptr is monotone and bounds the edge array
     assert np.all(np.diff(g.ui_indptr) >= 0) and g.ui_indptr[-1] == g.n_edges
-    assert np.all(np.diff(g.iu_indptr) >= 0) and g.iu_indptr[-1] == g.n_edges
     # both degree views count every edge once
     assert int(g.user_degrees().sum()) == g.n_edges
     assert int(g.item_degrees().sum()) == g.n_edges
-    # the item-grouped view is a permutation of the canonical edges
-    assert sorted(g.iu_edge.tolist()) == list(range(g.n_edges))
+    # canonical order: by user, then item, so every item's users ascend
+    rows = g.edges()[:, :2].tolist()
+    assert rows == sorted(rows)
     for item_local in range(g.n_items):
-        users = g.item_users(item_local)
+        users = g.edge_user[g.edge_item_local == item_local]
         assert users.tolist() == sorted(users.tolist())
+        assert users.size == g.item_degrees()[item_local]
 
 
 @given(interaction_arrays)

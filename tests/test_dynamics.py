@@ -1,18 +1,17 @@
 """History window, interpolated re-initialization and the rolling snapshot protocol."""
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 import pytest
 
 from dynrec.config import RunConfig
-from dynrec.data import segment_snapshots
-from dynrec.dynamics import (
-    DynamicResult,
-    WindowBuffer,
-    interpolative_init,
-    run_dynamic,
-    run_frozen,
-)
+from dynrec.data import apply_temporal, build_graph, segment_snapshots
+from dynrec.dynamics import DynamicResult, interpolative_init, run_dynamic, run_frozen
+from dynrec.prompt import GateParams, apply_gate, build_prompt_graph
+from dynrec.propagation import build_weights, forward
+from dynrec.rng import seed_stream
 from dynrec.synthetic import drift_series
 from helpers import edge_array
 
@@ -68,16 +67,13 @@ def _small_series():
 
 
 def test_window_buffer_orders_newest_first_and_truncates():
-    buf = WindowBuffer(2)
+    # run_dynamic's window: a deque of `omega` tables, each pushed on the left
+    window = deque(maxlen=2)
     for value in (1.0, 2.0, 3.0):
-        buf.push(np.array([value]))
-    assert len(buf) == 2
-    assert [t[0] for t in buf.tables] == [3.0, 2.0]
-
-
-def test_window_buffer_rejects_zero_capacity():
-    with pytest.raises(ValueError):
-        WindowBuffer(0)
+        window.appendleft(np.array([[value]]))
+    assert [t[0, 0] for t in window] == [3.0, 2.0]
+    # the newest table (3) weighs 1, the older (2) weighs 2: (0 + 7/3) / 2
+    assert interpolative_init(np.array([[0.0]]), window).tolist() == [[(3.0 + 4.0) / 6.0]]
 
 
 # -- interpolated re-initialization ---------------------------------------
@@ -85,15 +81,15 @@ def test_window_buffer_rejects_zero_capacity():
 
 def test_interpolative_init_empty_window_copies_pretrained():
     x_p = np.array([[1.0, 2.0]])
-    out = interpolative_init(x_p, WindowBuffer(3))
+    out = interpolative_init(x_p, deque(maxlen=3))
     assert np.array_equal(out, x_p) and out is not x_p
 
 
 def test_interpolative_init_hand_value():
-    buf = WindowBuffer(2)
-    buf.push(np.array([[10.0]]))
-    buf.push(np.array([[4.0]]))  # newest, weight 1; the 10 gets weight 2
-    out = interpolative_init(np.array([[2.0]]), buf)
+    window = deque(maxlen=2)
+    window.appendleft(np.array([[10.0]]))
+    window.appendleft(np.array([[4.0]]))  # newest, weight 1; the 10 gets weight 2
+    out = interpolative_init(np.array([[2.0]]), window)
     # (2 + (1*4 + 2*10)/3) / 2 = 5
     assert out.tolist() == [[5.0]]
 
@@ -102,12 +98,12 @@ def test_interpolative_init_closed_form_on_random_tables():
     rng = np.random.default_rng(0)
     x_p = rng.normal(size=(5, 3))
     tables = [rng.normal(size=(5, 3)) for _ in range(3)]
-    buf = WindowBuffer(3)
+    window = deque(maxlen=3)
     for t in tables:
-        buf.push(t)
+        window.appendleft(t)
     newest_first = list(reversed(tables))
     mix = sum((i + 1) * tab for i, tab in enumerate(newest_first)) / 6.0
-    assert np.allclose(interpolative_init(x_p, buf), 0.5 * (x_p + mix), atol=1e-12)
+    assert np.allclose(interpolative_init(x_p, window), 0.5 * (x_p + mix), atol=1e-12)
 
 
 # -- rolling protocol ------------------------------------------------------
@@ -129,6 +125,35 @@ def test_run_dynamic_record_schedule_and_shape():
     for cycle in result.cycles:
         assert cycle.embeddings.shape == (series.vocab.n_nodes, 8)
         assert cycle.gate is not None
+
+
+def test_run_dynamic_matches_the_hand_composed_cycle_pipeline():
+    # re-init from the window, a seeded throwaway gate, one pass over the
+    # condensed history graph, then plain propagation on the snapshot (no_gate)
+    log = drift_series(
+        n_blocks=3, users_per_block=3, items_per_block=3, pretrain_days=2,
+        snapshot_days=5, stale_per_day=2, lead_per_day=1, seed=1,
+    )
+    series = segment_snapshots(log, 48 * 3600, 24 * 3600)
+    cfg = _small_cfg(no_gate=True, omega=2)
+    x_p = np.random.default_rng(5).normal(0.0, 0.1, size=(series.vocab.n_nodes, cfg.d))
+    result = run_dynamic(series, cfg, pretrained=x_p)
+    assert len(result.cycles) == 4 and all(len(s) for s in series.snapshots)
+    window = []  # newest first, at most omega tables
+    for k, cycle in enumerate(result.cycles):
+        x_init = interpolative_init(x_p, window)
+        gate = GateParams.random(cfg.d, seed_stream(cfg.seed, "gate", k), cfg.random_gate_std)
+        prompt_graph = build_prompt_graph(
+            series.pretrain, series.snapshots[: k + 1], cfg.phi,
+            seed_stream(cfg.seed, "prompt", k), cfg.tau_seconds,
+        )
+        x_n0 = forward(build_weights(prompt_graph), apply_gate(x_init, gate), cfg.layers)
+        graph_n = apply_temporal(
+            build_graph(series.snapshots[k], series.n_users, series.n_items), cfg.tau_seconds
+        )
+        x_n = forward(build_weights(graph_n), x_n0, cfg.layers)
+        assert cycle.embeddings.tobytes() == x_n.tobytes(), k
+        window = [x_n] + window[: cfg.omega - 1]
 
 
 def test_run_dynamic_is_deterministic():

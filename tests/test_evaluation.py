@@ -9,14 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dynrec.evaluation as evaluation
-from dynrec.evaluation import (
-    MetricsReport,
-    evaluate_users,
-    ndcg_at_k,
-    pair_keys,
-    rank_items,
-    recall_at_k,
-)
+from dynrec.evaluation import MetricsReport, evaluate_users, pair_keys, rank_items
 from helpers import brute_force_ndcg, brute_force_recall, brute_force_topk
 
 # frozen by hand: 1 / log2(3), the gain of a single relevant item at rank 2
@@ -40,6 +33,19 @@ def _keys(items_by_user, n_users, n_items):
 
 NO_KEYS = np.empty(0, dtype=np.int64)
 USER_0 = np.array([0])
+
+
+def _user_metrics(item_scores, relevant, k):
+    """(recall, nDCG) that `evaluate_users` gives one user with these item scores."""
+    x = _scores_to_table([1.0, 0.0], item_scores)
+    report = evaluate_users(x, 1, np.array(relevant, dtype=np.int64), NO_KEYS, k)
+    assert report.users.tolist() == [0]
+    return float(report.recalls[0]), float(report.ndcgs[0])
+
+
+def _skips_user_with_nothing_relevant():
+    x = _scores_to_table([1.0, 0.0], [3.0, 2.0])
+    return evaluate_users(x, 1, NO_KEYS, NO_KEYS, 2).n_users == 0
 
 
 def test_rank_items_orders_by_score_then_id():
@@ -73,31 +79,33 @@ def test_rank_items_everything_masked():
     assert rank_items(x, 1, USER_0, np.array([0]), 3).tolist() == [[-1]]
 
 
+# item scores for the hand cases: ranks 1..10 are items 1, 2, 3, 4, 5, 6, 7, 8, 9, 0
+SCORES = [0.0, 9.0, 8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0]
+
+
 def test_recall_hand_values():
-    assert recall_at_k(np.array([1, 2, 3]), np.array([2, 9])) == 0.5
-    assert recall_at_k(np.array([1, 2]), np.array([1, 2])) == 1.0
-    assert recall_at_k(np.array([5]), np.array([1])) == 0.0
-    with pytest.raises(ValueError):
-        recall_at_k(np.array([1]), np.empty(0, dtype=np.int64))
+    # top 3 is (1, 2, 3): one of {2, 9} is in it
+    assert _user_metrics(SCORES, [2, 9], 3)[0] == 0.5
+    assert _user_metrics(SCORES, [1, 2], 2)[0] == 1.0
+    assert _user_metrics(SCORES, [5], 1)[0] == 0.0
+    assert _skips_user_with_nothing_relevant()
 
 
 def test_ndcg_single_relevant_at_rank_two():
-    ranked = np.array([7, 3])
-    assert ndcg_at_k(ranked, np.array([3]), 20) == pytest.approx(
+    assert _user_metrics(SCORES, [2], 20)[1] == pytest.approx(
         NDCG_SINGLE_AT_RANK2, abs=1e-15
     )
 
 
 def test_ndcg_perfect_and_empty_cases():
-    assert ndcg_at_k(np.array([4, 5]), np.array([4, 5]), 2) == 1.0
-    assert ndcg_at_k(np.array([4, 5]), np.array([9]), 2) == 0.0
-    with pytest.raises(ValueError):
-        ndcg_at_k(np.array([1]), np.empty(0, dtype=np.int64), 2)
+    assert _user_metrics(SCORES, [1, 2], 2)[1] == 1.0
+    assert _user_metrics(SCORES, [9], 2)[1] == 0.0
+    assert _skips_user_with_nothing_relevant()
 
 
 def test_ndcg_ideal_truncates_at_k():
     # three relevant items but k=1: a hit at rank 1 is already ideal
-    assert ndcg_at_k(np.array([2]), np.array([2, 3, 4]), 1) == 1.0
+    assert _user_metrics(SCORES, [1, 2, 3], 1)[1] == 1.0
 
 
 @given(st.integers(0, 500))
@@ -111,12 +119,15 @@ def test_metrics_match_brute_force(seed):
     relevant = relevant[~mask[relevant]]
     if relevant.size == 0:
         return
-    ranked = rank_items(x, 1, USER_0, np.flatnonzero(mask), k)[0]
+    seen = np.flatnonzero(mask)  # user 0's keys are its local item ids
+    ranked = rank_items(x, 1, USER_0, seen, k)[0]
     ranked = ranked[ranked >= 0]
-    ref = brute_force_topk(x, 0, 1, set(np.flatnonzero(mask).tolist()), k)
+    ref = brute_force_topk(x, 0, 1, set(seen.tolist()), k)
     assert ranked.tolist() == ref
-    assert recall_at_k(ranked, relevant) == brute_force_recall(ref, set(relevant.tolist()))
-    assert ndcg_at_k(ranked, relevant, k) == brute_force_ndcg(ref, set(relevant.tolist()), k)
+    report = evaluate_users(x, 1, relevant, seen, k)
+    assert report.users.tolist() == [0]
+    assert report.recalls[0] == brute_force_recall(ref, set(relevant.tolist()))
+    assert report.ndcgs[0] == brute_force_ndcg(ref, set(relevant.tolist()), k)
 
 
 def test_metrics_report_aggregation_and_subset():

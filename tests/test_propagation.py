@@ -7,15 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dynrec.data import apply_temporal, build_graph
-from dynrec.propagation import (
-    build_weights,
-    edge_weights,
-    forward,
-    forward_backward,
-    propagate_layer,
-    propagate_transpose,
-    temporal_softmax,
-)
+from dynrec.propagation import build_weights, forward, forward_backward, temporal_softmax
 from helpers import dense_forward, dense_operator, edge_array, random_bipartite_edges
 
 # frozen by hand: e / (1 + e) and 1 / (1 + e)
@@ -98,18 +90,20 @@ def test_temporal_softmax_orders_by_time_within_neighborhood(seed):
 def test_edge_weights_symmetric_normalization_hand_case():
     # two users sharing one item: item degree 2, user degrees 1
     g = _temporal_graph([(0, 2, 0), (1, 2, 10)], n_users=2, n_items=1)
-    w = edge_weights(g, no_temporal=True)
+    w = build_weights(g, no_temporal=True)
     expected = 1.0 / np.sqrt(2.0)
-    assert w.w_ui == pytest.approx([expected, expected], abs=1e-15)
-    assert w.w_iu == pytest.approx([expected, expected], abs=1e-15)
+    dense = w.matrix.toarray()
+    # user rows read from the item column, the item row from both user columns
+    assert dense[[0, 1], [2, 2]] == pytest.approx([expected, expected], abs=1e-15)
+    assert dense[[2, 2], [0, 1]] == pytest.approx([expected, expected], abs=1e-15)
+    assert w.matrix.nnz == 4
 
 
 def test_edge_weights_single_edge_full_weight_is_one():
     # degree-1 on both sides: symmetric part 1, softmax share 1 -> 0.5 + 0.5
     g = _temporal_graph([(0, 1, 0)], 1, 1)
     w = build_weights(g)
-    assert w.w_ui.tolist() == [1.0]
-    assert w.w_iu.tolist() == [1.0]
+    assert w.matrix.toarray().tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
 
 def test_edge_weights_matrix_layout_and_transpose():
@@ -117,8 +111,11 @@ def test_edge_weights_matrix_layout_and_transpose():
     w = build_weights(g)
     dense = w.matrix.toarray()
     # row = destination, column = source; user rows read from item columns
-    assert dense[0, 2] == w.w_ui[0] and dense[1, 2] == w.w_ui[1]
-    assert dense[2, 0] == w.w_iu[0] and dense[2, 1] == w.w_iu[1]
+    assert np.flatnonzero(dense).tolist() == [2, 5, 6, 7]
+    # each user has one edge, so its softmax share is 1
+    assert dense[0, 2] == dense[1, 2] == 0.5 / np.sqrt(2.0) + 0.5
+    # both of the item's edges fall in one timestep, so they split its share
+    assert dense[2, 0] == dense[2, 1] == 0.5 / np.sqrt(2.0) + 0.25
     assert np.array_equal(w.matrix_t.toarray(), dense.T)
     assert not w.isolated.any()
 
@@ -184,15 +181,14 @@ def test_forward_isolated_rows_pass_through():
     assert np.array_equal(out[3], x0[3])  # untouched item
 
 
-def test_propagate_layer_and_transpose_agree_with_matrix():
+def test_operator_and_transpose_products_match_dense_reference():
     _, n_users, n_items, edges = _random_case(11, 6, 6)
     g = _temporal_graph(edges, n_users, n_items)
     w = build_weights(g)
+    mat = dense_operator(edges, n_users, n_items, 3600.0)
     x = np.random.default_rng(0).normal(size=(g.n_nodes, 2))
-    assert np.allclose(propagate_layer(w, x), w.matrix.toarray() @ x, atol=1e-12)
-    assert np.allclose(
-        propagate_transpose(w, x), w.matrix.toarray().T @ x, atol=1e-12
-    )
+    assert np.allclose(w.matrix @ x, mat @ x, atol=1e-12)
+    assert np.allclose(w.matrix_t @ x, mat.T @ x, atol=1e-12)
 
 
 @given(st.integers(0, 400), st.integers(0, 3))

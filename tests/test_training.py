@@ -273,6 +273,16 @@ def test_pretrain_raises_when_training_diverges():
         pretrain(g, 4, 2, 3600.0, cfg)
 
 
+def test_pretrain_raises_when_the_last_step_overflows_validation():
+    # one batch, one epoch: the only step leaves a finite table near 1e300,
+    # which passes the per-batch check but overflows the validation scores
+    rng = np.random.default_rng(0)
+    g = _graph(random_bipartite_edges(rng, 40, 30, 400), 40, 30)
+    cfg = TrainConfig(learning_rate=1e300, batch_size=4096, max_epochs=1, patience=1)
+    with pytest.raises(FloatingPointError, match="validation scores overflow at epoch 1"):
+        pretrain(g, 8, 2, 3600.0, cfg)
+
+
 def test_pretrain_no_validation_trains_all_epochs_keeping_last():
     g = _graph(_block_edges(), 6, 6)
     cfg = TrainConfig(batch_size=8, max_epochs=3, patience=3, val_fraction=0.0)
