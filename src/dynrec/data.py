@@ -4,9 +4,8 @@ Input data is a log of (user, item, unix-timestamp) triples. Users and items
 are remapped onto one global id space (users first, then items) so a single
 embedding table serves both. The log is split into a pre-training graph plus
 a sequence of fixed-width time-slot snapshots, and each edge set can be built
-into an immutable user-grouped CSR graph carrying per-edge time attributes:
-the raw timestamp, a relative timestep (timestamp offset divided by the
-interval `tau`, floored) and that timestep min-max normalized into [0, 1].
+into an immutable user-grouped CSR graph that keeps each edge's raw
+timestamp. Turning timestamps into edge weights is `propagation`'s job.
 
 Every edge set outside a graph, from ingest to evaluation, is an (E, 3)
 int64 array of (user, item, ts_unix) rows.
@@ -14,7 +13,6 @@ int64 array of (user, item, ts_unix) rows.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable, Iterator
@@ -124,12 +122,11 @@ def load_interactions(path: str) -> tuple[np.ndarray, Vocabulary]:
 
 @dataclass(frozen=True)
 class InteractionGraph:
-    """Immutable sparse user-item graph with per-edge time attributes.
+    """Immutable sparse user-item graph with per-edge timestamps.
 
     Edges are stored once, in canonical order (sorted by user then item), with
     a CSR row pointer grouping them by user. `edge_item` holds global ids
-    (already offset by `n_users`). `edge_step` / `edge_time_norm` are None
-    until temporal attributes are attached via `apply_temporal`.
+    (already offset by `n_users`).
     """
 
     n_users: int
@@ -138,8 +135,6 @@ class InteractionGraph:
     edge_item: np.ndarray  # (E,) global item id per canonical edge
     edge_ts: np.ndarray  # (E,) unix timestamp
     ui_indptr: np.ndarray  # (n_users+1,) canonical edges grouped by user
-    edge_step: np.ndarray | None = None
-    edge_time_norm: np.ndarray | None = None
 
     @property
     def n_nodes(self) -> int:
@@ -205,38 +200,6 @@ def build_graph(edges: np.ndarray, n_users: int, n_items: int) -> InteractionGra
     )
 
 
-def relative_timesteps(graph: InteractionGraph, tau: float) -> np.ndarray:
-    """Per-edge relative timestep: floor((ts - min ts over edges) / tau)."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    if graph.n_edges == 0:
-        return np.empty(0, dtype=np.int64)
-    offset = graph.edge_ts - graph.edge_ts.min()
-    return np.floor(offset / float(tau)).astype(np.int64)
-
-
-def normalize_times(steps: np.ndarray) -> np.ndarray:
-    """Min-max normalize timesteps into [0, 1]; all-equal steps map to 0."""
-    if steps.size == 0:
-        raise ValueError("no timesteps to normalize")
-    lo, hi = steps.min(), steps.max()
-    if hi == lo:
-        return np.zeros(steps.shape, dtype=np.float64)
-    return (steps - lo) / float(hi - lo)
-
-
-def apply_temporal(graph: InteractionGraph, tau: float) -> InteractionGraph:
-    """Return a copy of `graph` with timestep and normalized-time attributes."""
-    if graph.n_edges == 0:
-        empty_i = np.empty(0, dtype=np.int64)
-        empty_f = np.empty(0, dtype=np.float64)
-        return dataclasses.replace(graph, edge_step=empty_i, edge_time_norm=empty_f)
-    steps = relative_timesteps(graph, tau)
-    return dataclasses.replace(
-        graph, edge_step=steps, edge_time_norm=normalize_times(steps)
-    )
-
-
 @dataclass(frozen=True)
 class SnapshotSeries:
     """Pre-training graph plus ordered time-slot snapshots, in global id space.
@@ -289,7 +252,7 @@ def segment_snapshots(
     input order, not timestamp order.
     """
     if len(edges) == 0:
-        raise ValueError("no interactions to segment")
+        raise DataError("no interactions to segment")
     if pretrain_span <= 0 or granularity <= 0:
         raise ValueError("pretrain_span and granularity must be positive")
     vocab = Vocabulary.from_edges(edges)
@@ -299,7 +262,7 @@ def segment_snapshots(
     in_pretrain = encoded[:, 2] < pretrain_end
     rest = encoded[~in_pretrain]
     if len(rest) == 0:
-        raise ValueError("no snapshots remain: pre-training span consumes all data")
+        raise DataError("no snapshots remain: pre-training span consumes all data")
 
     bucket = (rest[:, 2] - pretrain_end) // granularity
     n_buckets = int(bucket.max()) + 1

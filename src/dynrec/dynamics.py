@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import RunConfig
-from .data import SnapshotSeries, apply_temporal, build_graph
+from .data import SnapshotSeries, build_graph
 from .evaluation import MetricsReport, evaluate_users, pair_keys
 from .prompt import GateParams, apply_gate, build_prompt_graph, finetune
 from .propagation import build_weights, forward
@@ -222,15 +222,17 @@ def run_dynamic(
                 series.snapshots[: k + 1],
                 cfg.phi,
                 seed_stream(cfg.seed, "prompt", k),
-                cfg.tau_seconds,
             )
             # a throwaway random gate, then one pass over the condensed history
             gate_rng = seed_stream(cfg.seed, "gate", k)
             x_g = apply_gate(
                 x_init, GateParams.random(x_init.shape[1], gate_rng, cfg.random_gate_std)
             )
+            # the operator is not kept in a local, so it is freed before fine-tuning
             x_n0 = forward(
-                build_weights(prompt_graph, no_temporal=cfg.no_temporal), x_g, cfg.layers
+                build_weights(prompt_graph, cfg.tau_seconds, no_temporal=cfg.no_temporal),
+                x_g,
+                cfg.layers,
             )
 
         gate = None
@@ -240,11 +242,9 @@ def run_dynamic(
             warning = "empty training snapshot; adaptation skipped"
             x_n = x_n0
         else:
-            graph_n = apply_temporal(
-                build_graph(train_snapshot, n_users, n_items), cfg.tau_seconds
-            )
+            graph_n = build_graph(train_snapshot, n_users, n_items)
             if cfg.no_gate:
-                weights_n = build_weights(graph_n, no_temporal=cfg.no_temporal)
+                weights_n = build_weights(graph_n, cfg.tau_seconds, no_temporal=cfg.no_temporal)
                 x_n = forward(weights_n, x_n0, cfg.layers)
             else:
                 tuned_result = finetune(
@@ -252,6 +252,7 @@ def run_dynamic(
                     x_n0,
                     cfg.finetune_config(),
                     cfg.layers,
+                    cfg.tau_seconds,
                     seed_stream(cfg.seed, "finetune", k),
                     no_temporal=cfg.no_temporal,
                 )
@@ -291,9 +292,7 @@ def run_frozen(
     x_p, pretrain_log = _ensure_pretrained(series, cfg, pretrained)
     result = DynamicResult(pretrain_log=pretrain_log, pretrained=x_p)
 
-    weights_p = build_weights(
-        apply_temporal(series.pretrain, cfg.tau_seconds), no_temporal=cfg.no_temporal
-    )
+    weights_p = build_weights(series.pretrain, cfg.tau_seconds, no_temporal=cfg.no_temporal)
     z_p = forward(weights_p, x_p, cfg.layers)
 
     seen = pair_keys(series.pretrain.edges(), series.n_users, series.n_items)

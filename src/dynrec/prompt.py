@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import expit
 
-from .data import InteractionGraph, apply_temporal, build_graph
+from .data import InteractionGraph, build_graph
 from .propagation import build_weights, forward, forward_backward
 from .training import Adam, TrainConfig, bpr_grad_final, check_finite, sample_negatives
 
@@ -87,14 +87,13 @@ def build_prompt_graph(
     snapshots: Sequence[np.ndarray],
     phi: float,
     rng: np.random.Generator,
-    tau: float,
 ) -> InteractionGraph:
     """Merge pre-training edges with retention-subsampled snapshot edges.
 
     Each snapshot keeps round(retention * |edges|) rows, drawn without
     replacement by position in the snapshot; the union (pre-training edges
-    included, duplicates keeping the latest timestamp) is rebuilt into a
-    graph with temporal attributes.
+    included, duplicates keeping the latest timestamp) is rebuilt into one
+    graph.
     """
     parts = [pretrain_graph.edges()]
     ret = snapshot_retention(len(snapshots), phi)
@@ -107,10 +106,9 @@ def build_prompt_graph(
             parts.append(snap)
             continue
         parts.append(snap[rng.choice(n_edges, size=n_keep, replace=False)])
-    graph = build_graph(
+    return build_graph(
         np.concatenate(parts), pretrain_graph.n_users, pretrain_graph.n_items
     )
-    return apply_temporal(graph, tau)
 
 
 @dataclass
@@ -128,6 +126,7 @@ def finetune(
     x_in: np.ndarray,
     cfg: TrainConfig,
     n_layers: int,
+    tau: float,
     rng: np.random.Generator,
     *,
     no_temporal: bool = False,
@@ -141,7 +140,7 @@ def finetune(
     negatives are drawn against this snapshot's edges only. A non-finite
     loss or gradient raises FloatingPointError.
     """
-    weights = build_weights(graph, no_temporal=no_temporal)
+    weights = build_weights(graph, tau, no_temporal=no_temporal)
     d = x_in.shape[1]
     gate_w = np.zeros((d, d))
     gate_b = np.zeros(d)

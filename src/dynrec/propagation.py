@@ -4,10 +4,11 @@ Each undirected user-item edge gets one weight per direction:
 
     w(src -> dst) = 1 / (2 * sqrt(deg_dst * deg_src)) + alpha(dst, src) / 2
 
-where alpha is a softmax over the destination's neighborhood of the
-normalized edge timesteps, so a node's most recent interactions carry the
-largest share of its incoming mass. With temporal weighting disabled the
-weight falls back to the plain symmetric-normalized 1 / sqrt(deg_dst * deg_src).
+where alpha is a softmax over the destination's neighborhood of the edge
+timesteps floor((ts - earliest ts) / tau), min-max normalized into [0, 1],
+so a node's most recent interactions carry the largest share of its
+incoming mass. With temporal weighting disabled the weight falls back to
+the plain symmetric-normalized 1 / sqrt(deg_dst * deg_src).
 
 `build_weights` assembles these weights into one sparse operator and its
 transpose; `temporal_softmax` computes the alpha shares it uses. Propagation
@@ -27,18 +28,36 @@ import scipy.sparse as sp
 from .data import InteractionGraph
 
 
-def temporal_softmax(graph: InteractionGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Per-neighborhood softmax of normalized edge times, for both directions.
+def relative_timesteps(graph: InteractionGraph, tau: float) -> np.ndarray:
+    """Per-edge relative timestep: floor((ts - min ts over edges) / tau)."""
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    if graph.n_edges == 0:
+        return np.empty(0, dtype=np.int64)
+    offset = graph.edge_ts - graph.edge_ts.min()
+    return np.floor(offset / float(tau)).astype(np.int64)
+
+
+def normalize_times(steps: np.ndarray) -> np.ndarray:
+    """Min-max normalize timesteps into [0, 1]; all-equal steps map to 0."""
+    if steps.size == 0:
+        raise ValueError("no timesteps to normalize")
+    lo, hi = steps.min(), steps.max()
+    if hi == lo:
+        return np.zeros(steps.shape, dtype=np.float64)
+    return (steps - lo) / float(hi - lo)
+
+
+def temporal_softmax(graph: InteractionGraph, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-neighborhood softmax of normalized edge timesteps, for both directions.
 
     Returns (alpha_ui, alpha_iu), both aligned with the canonical edge order:
     alpha_ui[e] is edge e's share within its user's neighborhood, alpha_iu[e]
     its share within its item's neighborhood. Each neighborhood's shares sum
     to 1; nodes of degree 0 contribute nothing.
     """
-    if graph.edge_time_norm is None:
-        raise ValueError("graph has no temporal attributes; call apply_temporal first")
-    t = graph.edge_time_norm
-    ex = np.exp(t)
+    steps = relative_timesteps(graph, tau)
+    ex = np.exp(normalize_times(steps)) if steps.size else np.empty(0)
     # user side: canonical order is already grouped by user
     denom_u = np.bincount(graph.edge_user, weights=ex, minlength=graph.n_users)
     alpha_ui = ex / denom_u[graph.edge_user]
@@ -61,17 +80,14 @@ class PropagationWeights:
     matrix_t: sp.csr_matrix  # transpose, for the adjoint pass
     isolated: np.ndarray  # (N,) bool
 
-    @property
-    def n_nodes(self) -> int:
-        return self.matrix.shape[0]
-
 
 def build_weights(
-    graph: InteractionGraph, *, no_temporal: bool = False
+    graph: InteractionGraph, tau: float, *, no_temporal: bool = False
 ) -> PropagationWeights:
     """Assemble the directed edge weights into the sparse one-step operator.
 
-    The graph must carry temporal attributes unless `no_temporal` is set.
+    `tau` is the timestep interval in seconds; `no_temporal` drops the
+    recency share and keeps only the symmetric normalization.
     """
     deg = graph.node_degrees().astype(np.float64)
     deg_u = deg[graph.edge_user]
@@ -81,7 +97,7 @@ def build_weights(
     if no_temporal:
         w_into_user = w_into_item = sym
     else:
-        alpha_ui, alpha_iu = temporal_softmax(graph)
+        alpha_ui, alpha_iu = temporal_softmax(graph, tau)
         w_into_user = 0.5 * sym + 0.5 * alpha_ui
         w_into_item = 0.5 * sym + 0.5 * alpha_iu
 

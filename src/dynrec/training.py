@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .data import InteractionGraph, apply_temporal, build_graph
+from .data import DataError, InteractionGraph, build_graph
 from .evaluation import evaluate_users, pair_keys
 from .propagation import PropagationWeights, build_weights, forward, forward_backward
 from .rng import seed_stream
@@ -112,13 +112,13 @@ def sample_negatives(
     (n, 3) array (user, positive, negative), all global ids. Negatives are
     drawn uniformly from the items the user has no edge to in `graph`,
     by rejection; a user with an edge to every item makes that impossible
-    and raises ValueError.
+    and raises DataError.
     """
     if positives.size == 0:
         return np.empty((0, 3), dtype=np.int64)
     if int(graph.user_degrees().max(initial=0)) >= graph.n_items:
         full = np.flatnonzero(graph.user_degrees() >= graph.n_items)
-        raise ValueError(
+        raise DataError(
             f"cannot sample negatives: user {full[0]} interacts with every item"
         )
     keys, n_users, n_items = graph.keys, graph.n_users, graph.n_items
@@ -253,7 +253,8 @@ def pretrain(
     the untouched initialization. With `val_fraction=0` there is no holdout
     and training runs all epochs on the full graph. A non-finite loss or
     gradient raises FloatingPointError (see `check_finite`), and so does a
-    table whose validation scores overflow.
+    table whose scores overflow: checked on each validation pass, or once
+    on the final table when there is no validation.
     """
     n = graph.n_nodes
     x = seed_stream(cfg.seed, "init").normal(0.0, init_std, size=(n, dim))
@@ -265,12 +266,10 @@ def pretrain(
         train_edges, val_keys = holdout_split(
             graph, cfg.val_fraction, seed_stream(cfg.seed, "val-split")
         )
-        train_graph = apply_temporal(
-            build_graph(train_edges, graph.n_users, graph.n_items), tau
-        )
+        train_graph = build_graph(train_edges, graph.n_users, graph.n_items)
     else:
-        train_graph, val_keys = apply_temporal(graph, tau), np.empty(0, dtype=np.int64)
-    weights = build_weights(train_graph, no_temporal=no_temporal)
+        train_graph, val_keys = graph, np.empty(0, dtype=np.int64)
+    weights = build_weights(train_graph, tau, no_temporal=no_temporal)
 
     positives = np.stack([train_graph.edge_user, train_graph.edge_item], axis=1)
     rng = seed_stream(cfg.seed, "negatives")
@@ -317,6 +316,16 @@ def pretrain(
         best.log.append(record)
         if val_keys.size and stale >= cfg.patience:
             break
+    if not val_keys.size:
+        # nothing has scored the last step's table: if no row's squared norm
+        # overflows, no user-item score can either (Cauchy-Schwarz)
+        try:
+            with np.errstate(over="raise"):
+                np.square(forward(weights, x, n_layers)).sum(axis=1)
+        except FloatingPointError as exc:
+            raise FloatingPointError(
+                f"training diverged: scores overflow at epoch {epoch}"
+            ) from exc
     best.optimizer_steps = adam.step_count
     return best
 

@@ -22,18 +22,18 @@ import numpy as np
 import dynrec.training as training_mod
 from dynrec.cli import main as cli_main
 from dynrec.config import RunConfig
-from dynrec.data import (
-    Vocabulary,
-    apply_temporal,
-    build_graph,
-    normalize_times,
-    relative_timesteps,
-    segment_snapshots,
-)
+from dynrec.data import Vocabulary, build_graph, segment_snapshots
 from dynrec.dynamics import interpolative_init, run_dynamic, run_frozen
 from dynrec.evaluation import evaluate_users, pair_keys, rank_items
 from dynrec.prompt import GateParams, apply_gate, finetune, gate_gradients, snapshot_retention
-from dynrec.propagation import build_weights, forward, forward_backward, temporal_softmax
+from dynrec.propagation import (
+    build_weights,
+    forward,
+    forward_backward,
+    normalize_times,
+    relative_timesteps,
+    temporal_softmax,
+)
 from dynrec.synthetic import drift_series, planted_blocks, split_by_user, write_tsv
 from dynrec.training import TrainConfig, bpr_gradients, bpr_loss, pretrain
 from helpers import (
@@ -77,10 +77,8 @@ def test_criterion_01_propagation_oracle(capsys):
     for seed in range(200):
         rng, n_users, n_items, edges, tau = _random_graph_case(seed, 25)
         no_temporal = seed % 4 == 3
-        graph = apply_temporal(
-            build_graph(edge_array(edges), n_users, n_items), tau
-        )
-        weights = build_weights(graph, no_temporal=no_temporal)
+        graph = build_graph(edge_array(edges), n_users, n_items)
+        weights = build_weights(graph, tau, no_temporal=no_temporal)
         mat = dense_operator(edges, n_users, n_items, tau, no_temporal=no_temporal)
         degrees = [0] * (n_users + n_items)
         for u, gi, _ in edges:
@@ -129,11 +127,9 @@ def test_criterion_02_temporal_softmax(capsys):
     checked = 0
     for seed in range(100):
         _, n_users, n_items, edges, tau = _random_graph_case(seed, 25, min_edges=1)
-        graph = apply_temporal(
-            build_graph(edge_array(edges), n_users, n_items), tau
-        )
-        alpha_ui, alpha_iu = temporal_softmax(graph)
-        t = graph.edge_time_norm
+        graph = build_graph(edge_array(edges), n_users, n_items)
+        alpha_ui, alpha_iu = temporal_softmax(graph, tau)
+        t = normalize_times(relative_timesteps(graph, tau))
 
         user_sums = np.bincount(graph.edge_user, weights=alpha_ui, minlength=n_users)
         item_sums = np.bincount(
@@ -191,10 +187,8 @@ def test_criterion_03_gradient_suite(capsys):
         edges = random_bipartite_edges(rng, n_users, n_items, n_edges)
         tau = float(rng.uniform(60.0, 100_000.0))
         no_temporal = seed % 5 == 4
-        graph = apply_temporal(
-            build_graph(edge_array(edges), n_users, n_items), tau
-        )
-        weights = build_weights(graph, no_temporal=no_temporal)
+        graph = build_graph(edge_array(edges), n_users, n_items)
+        weights = build_weights(graph, tau, no_temporal=no_temporal)
 
         n = graph.n_nodes
         d = int(rng.integers(2, 5))
@@ -426,7 +420,7 @@ def test_criterion_06_parameter_efficiency(capsys, monkeypatch):
         for u in range(6)
         for item in rng.choice(7, size=4, replace=False)
     ]
-    graph = apply_temporal(build_graph(edge_array(edges), 6, 7), 3600.0)
+    graph = build_graph(edge_array(edges), 6, 7)
     x_in = rng.normal(0.0, 0.3, size=(13, d))
     before = x_in.tobytes()
 
@@ -441,7 +435,7 @@ def test_criterion_06_parameter_efficiency(capsys, monkeypatch):
     cfg = TrainConfig(
         learning_rate=1e-2, batch_size=8, max_epochs=3, patience=3, val_fraction=0.0
     )
-    result = finetune(graph, x_in, cfg, 2, np.random.default_rng(1))
+    result = finetune(graph, x_in, cfg, 2, 3600.0, np.random.default_rng(1))
 
     ok = bool(captured)
     touched_w = np.zeros((d, d), dtype=bool)
@@ -462,14 +456,14 @@ def test_criterion_06_parameter_efficiency(capsys, monkeypatch):
         return original_step(self, grads)
 
     monkeypatch.setattr(training_mod.Adam, "step", probing_step)
-    finetune(graph, x_in, cfg, 2, np.random.default_rng(1))
+    finetune(graph, x_in, cfg, 2, 3600.0, np.random.default_rng(1))
     for grads in grads_probe:
         touched_w |= grads["w"] != 0.0
         touched_b |= grads["b"] != 0.0
     nonzero_scalars = int(touched_w.sum() + touched_b.sum())
     unchanged = x_in.tobytes() == before
     tuned_changed = not np.array_equal(result.embeddings, forward(
-        build_weights(graph), x_in * 0.5, 2
+        build_weights(graph, 3600.0), x_in * 0.5, 2
     ))
 
     ok = ok and nonzero_scalars == d * d + d and unchanged and tuned_changed
@@ -505,7 +499,7 @@ def test_criterion_07_synthetic_learnability(capsys):
     )
     result = pretrain(train_graph, dim=64, n_layers=3, tau=86_400.0, cfg=cfg)
 
-    weights = build_weights(apply_temporal(train_graph, 86_400.0))
+    weights = build_weights(train_graph, 86_400.0)
     z = forward(weights, result.embeddings, 3)
     relevant = pair_keys(vocab.encode(test), n_users, n_items)
     report = evaluate_users(z, n_users, relevant, train_graph.keys, 20)

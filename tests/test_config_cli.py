@@ -372,6 +372,35 @@ def test_cli_pretrain_exits_1_when_the_last_step_overflows(cli_data, tmp_path):
     assert not (out / "checkpoints").exists()
 
 
+def test_cli_pretrain_exits_1_when_the_last_step_overflows_without_validation(cli_data, tmp_path):
+    # no validation pass scores the only step's table, so the final check must
+    out = tmp_path / "overflowed"
+    assert main(["pretrain", "--data", cli_data, "--out", str(out), "--quiet", *CLI_SETTINGS,
+                 "--set", "learning_rate=1e300", "--set", "batch_size=100000",
+                 "--set", "max_epochs=1", "--set", "patience=1", "--set", "val_fraction=0"]) == 1
+    assert not (out / "pretrain_log.json").exists()
+    assert not (out / "checkpoints").exists()
+
+
+@pytest.mark.parametrize(
+    ("log", "settings", "message"),
+    [
+        ("", [], "no interactions to segment"),
+        ("0\t1\t100\n0\t2\t200\n", [], "pre-training span consumes all data"),
+        # user 0 has both items before the first snapshot and no holdout frees one
+        ("0\t1\t100\n0\t2\t200\n1\t1\t900000\n", ["--set", "val_fraction=0"],
+         "cannot sample negatives"),
+    ],
+    ids=["empty-log", "span-covers-log", "saturated-user"],
+)
+def test_cli_exits_1_on_a_log_that_cannot_be_trained(tmp_path, caplog, log, settings, message):
+    data = tmp_path / "log.tsv"
+    data.write_text(log)
+    assert main(["pretrain", "--data", str(data), "--out", str(tmp_path / "out"),
+                 "--quiet", *CLI_SETTINGS, *settings]) == 1
+    assert message in caplog.text
+
+
 @pytest.mark.parametrize("line", ["1\t2\n", "1\tx\t3\n", f"1\t{2**63}\t3\n"])
 def test_cli_exit_code_for_invalid_data_line(tmp_path, line):
     data = tmp_path / "bad.tsv"

@@ -13,14 +13,12 @@ from helpers import edge_array
 
 from dynrec.data import (
     Vocabulary,
-    apply_temporal,
     build_graph,
     ingest_interactions,
     load_interactions,
-    normalize_times,
-    relative_timesteps,
     segment_snapshots,
 )
+from dynrec.propagation import normalize_times, relative_timesteps
 
 interaction_arrays = st.lists(
     st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 1000)),
@@ -172,7 +170,7 @@ def test_graph_keeps_latest_timestamp_per_pair(raw):
     assert got == latest
 
 
-# -- temporal attributes ---------------------------------------------------
+# -- relative timesteps ---------------------------------------------------
 
 
 def test_relative_timesteps_floor_formula():
@@ -207,21 +205,6 @@ def test_normalize_times_range_and_extremes(steps):
     assert np.all(t >= 0.0) and np.all(t <= 1.0)
     if len(set(steps)) > 1:
         assert t[np.argmax(steps)] == 1.0 and t[np.argmin(steps)] == 0.0
-
-
-def test_apply_temporal_attaches_attributes():
-    g = build_graph(edge_array([(0, 1, 0), (0, 2, 3600)]), 1, 2)
-    assert g.edge_step is None and g.edge_time_norm is None
-    gt = apply_temporal(g, 3600.0)
-    assert gt.edge_step.tolist() == [0, 1]
-    assert gt.edge_time_norm.tolist() == [0.0, 1.0]
-    # source graph untouched
-    assert g.edge_step is None
-
-
-def test_apply_temporal_empty_graph():
-    gt = apply_temporal(build_graph(edge_array([]), 1, 1), 60.0)
-    assert gt.edge_step.size == 0 and gt.edge_time_norm.size == 0
 
 
 # -- segmentation ----------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dynrec.config import RunConfig
-from dynrec.data import apply_temporal, build_graph, segment_snapshots
+from dynrec.data import build_graph, segment_snapshots
 from dynrec.dynamics import DynamicResult, interpolative_init, run_dynamic, run_frozen
 from dynrec.prompt import GateParams, apply_gate, build_prompt_graph
 from dynrec.propagation import build_weights, forward
@@ -145,13 +145,13 @@ def test_run_dynamic_matches_the_hand_composed_cycle_pipeline():
         gate = GateParams.random(cfg.d, seed_stream(cfg.seed, "gate", k), cfg.random_gate_std)
         prompt_graph = build_prompt_graph(
             series.pretrain, series.snapshots[: k + 1], cfg.phi,
-            seed_stream(cfg.seed, "prompt", k), cfg.tau_seconds,
+            seed_stream(cfg.seed, "prompt", k),
         )
-        x_n0 = forward(build_weights(prompt_graph), apply_gate(x_init, gate), cfg.layers)
-        graph_n = apply_temporal(
-            build_graph(series.snapshots[k], series.n_users, series.n_items), cfg.tau_seconds
+        x_n0 = forward(
+            build_weights(prompt_graph, cfg.tau_seconds), apply_gate(x_init, gate), cfg.layers
         )
-        x_n = forward(build_weights(graph_n), x_n0, cfg.layers)
+        graph_n = build_graph(series.snapshots[k], series.n_users, series.n_items)
+        x_n = forward(build_weights(graph_n, cfg.tau_seconds), x_n0, cfg.layers)
         assert cycle.embeddings.tobytes() == x_n.tobytes(), k
         window = [x_n] + window[: cfg.omega - 1]
 

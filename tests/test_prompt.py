@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dynrec.data import apply_temporal, build_graph
+from dynrec.data import build_graph
 from dynrec.propagation import build_weights, forward
 from dynrec.prompt import (
     GateParams,
@@ -24,10 +24,8 @@ from helpers import central_difference, edge_array, rel_err
 SIGMOID_LOG3 = 0.75
 
 
-def _graph(edges, n_users, n_items, tau=3600.0):
-    return apply_temporal(
-        build_graph(edge_array(edges), n_users, n_items), tau
-    )
+def _graph(edges, n_users, n_items):
+    return build_graph(edge_array(edges), n_users, n_items)
 
 
 # -- gate algebra ----------------------------------------------------------
@@ -134,10 +132,9 @@ def _snapshots():
 
 def test_build_prompt_graph_counts_with_full_retention():
     pre = build_graph(edge_array([(0, 2, 0), (1, 3, 10)]), 2, 4)
-    g = build_prompt_graph(pre, _snapshots(), phi=0.0, rng=seed_stream(0, "prompt"), tau=60.0)
+    g = build_prompt_graph(pre, _snapshots(), phi=0.0, rng=seed_stream(0, "prompt"))
     # phi=0 keeps every snapshot edge: 2 pretraining + 4 snapshot edges
     assert g.n_edges == 6
-    assert g.edge_step is not None and g.edge_time_norm is not None
 
 
 def test_build_prompt_graph_subsamples_older_snapshots():
@@ -146,7 +143,7 @@ def test_build_prompt_graph_subsamples_older_snapshots():
         edge_array([(0, 4, 1000 + k) for k in range(10)]),
         edge_array([(1, 5, 2000 + k) for k in range(10)]),
     ]
-    g = build_prompt_graph(pre, snaps, phi=-0.5, rng=seed_stream(0, "prompt"), tau=60.0)
+    g = build_prompt_graph(pre, snaps, phi=-0.5, rng=seed_stream(0, "prompt"))
     # retention (0.5, 1.0): old snapshot keeps 5 of 10 duplicated edges -> 1
     # distinct pair; new keeps all 10 -> 1 distinct pair; plus 2 pretraining
     assert g.n_edges == 4
@@ -159,7 +156,7 @@ def test_build_prompt_graph_zero_retention_drops_snapshot():
         edge_array([(1, 5, 2000)]),
         edge_array([(1, 4, 3000)]),
     ]
-    g = build_prompt_graph(pre, snaps, phi=-1.0, rng=seed_stream(0, "prompt"), tau=60.0)
+    g = build_prompt_graph(pre, snaps, phi=-1.0, rng=seed_stream(0, "prompt"))
     # retention (0, 0, 1): only the newest snapshot contributes
     assert g.edges()[:, :2].tolist() == [[0, 2], [1, 4]]
 
@@ -167,8 +164,8 @@ def test_build_prompt_graph_zero_retention_drops_snapshot():
 def test_build_prompt_graph_is_deterministic():
     pre = build_graph(edge_array([(0, 2, 0)]), 2, 4)
     snaps = [edge_array([(0, 4 + k % 2, 1000 + k) for k in range(8)])]
-    a = build_prompt_graph(pre, snaps, 0.4, seed_stream(3, "prompt", 1), 60.0)
-    b = build_prompt_graph(pre, snaps, 0.4, seed_stream(3, "prompt", 1), 60.0)
+    a = build_prompt_graph(pre, snaps, 0.4, seed_stream(3, "prompt", 1))
+    b = build_prompt_graph(pre, snaps, 0.4, seed_stream(3, "prompt", 1))
     assert np.array_equal(a.edge_user, b.edge_user)
     assert np.array_equal(a.edge_item, b.edge_item)
     assert np.array_equal(a.edge_ts, b.edge_ts)
@@ -176,10 +173,12 @@ def test_build_prompt_graph_is_deterministic():
 
 # -- fine-tuning -----------------------------------------------------------
 
+TAU = 100.0
+
 
 def _finetune_setup():
     edges = [(0, 3, 0), (0, 4, 50), (1, 4, 100), (2, 5, 150), (1, 3, 200)]
-    g = _graph(edges, n_users=3, n_items=3, tau=100.0)
+    g = _graph(edges, n_users=3, n_items=3)
     x_in = np.random.default_rng(8).normal(0.0, 0.3, size=(6, 4))
     cfg = TrainConfig(
         learning_rate=1e-2, batch_size=4, max_epochs=3, patience=3, val_fraction=0.0
@@ -187,27 +186,28 @@ def _finetune_setup():
     return g, x_in, cfg
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the injected inf yields nan
 def test_finetune_raises_on_a_non_finite_loss():
     g, x_in, cfg = _finetune_setup()
     x_in[0, 0] = np.inf
     with pytest.raises(FloatingPointError, match="epoch 1, batch 1"):
-        finetune(g, x_in, cfg, 2, seed_stream(0, "finetune", 0))
+        finetune(g, x_in, cfg, 2, TAU, seed_stream(0, "finetune", 0))
 
 
 def test_finetune_input_table_is_bitwise_unchanged():
     g, x_in, cfg = _finetune_setup()
     before = x_in.tobytes()
-    finetune(g, x_in, cfg, n_layers=2, rng=seed_stream(0, "finetune", 0))
+    finetune(g, x_in, cfg, n_layers=2, tau=TAU, rng=seed_stream(0, "finetune", 0))
     assert x_in.tobytes() == before
 
 
 def test_finetune_runs_fixed_epochs_and_returns_consistent_embeddings():
     g, x_in, cfg = _finetune_setup()
-    result = finetune(g, x_in, cfg, 2, seed_stream(0, "finetune", 0))
+    result = finetune(g, x_in, cfg, 2, TAU, seed_stream(0, "finetune", 0))
     assert [rec["epoch"] for rec in result.log] == [1, 2, 3]
     assert result.gate.w.shape == (4, 4) and result.gate.b.shape == (4,)
     # returned embeddings are the propagated gated table
-    recomputed = forward(build_weights(g), apply_gate(x_in, result.gate), 2)
+    recomputed = forward(build_weights(g, TAU), apply_gate(x_in, result.gate), 2)
     assert np.array_equal(result.embeddings, recomputed)
     # 5 positives, batch 4 -> 2 optimizer steps per epoch
     assert result.optimizer_steps == 6
@@ -215,15 +215,15 @@ def test_finetune_runs_fixed_epochs_and_returns_consistent_embeddings():
 
 def test_finetune_moves_gate_away_from_zero():
     g, x_in, cfg = _finetune_setup()
-    result = finetune(g, x_in, cfg, 2, seed_stream(0, "finetune", 0))
+    result = finetune(g, x_in, cfg, 2, TAU, seed_stream(0, "finetune", 0))
     assert float(np.abs(result.gate.w).max()) > 0.0
     assert float(np.abs(result.gate.b).max()) > 0.0
 
 
 def test_finetune_is_deterministic():
     g, x_in, cfg = _finetune_setup()
-    a = finetune(g, x_in, cfg, 2, seed_stream(1, "finetune", 0))
-    b = finetune(g, x_in, cfg, 2, seed_stream(1, "finetune", 0))
+    a = finetune(g, x_in, cfg, 2, TAU, seed_stream(1, "finetune", 0))
+    b = finetune(g, x_in, cfg, 2, TAU, seed_stream(1, "finetune", 0))
     assert a.embeddings.tobytes() == b.embeddings.tobytes()
     assert a.gate.w.tobytes() == b.gate.w.tobytes()
 
@@ -233,8 +233,8 @@ def test_finetune_reduces_ranking_loss_on_its_snapshot():
     cfg = TrainConfig(
         learning_rate=5e-2, batch_size=8, max_epochs=30, patience=30, val_fraction=0.0
     )
-    result = finetune(g, x_in, cfg, 2, seed_stream(0, "finetune", 0))
+    result = finetune(g, x_in, cfg, 2, TAU, seed_stream(0, "finetune", 0))
     triples = np.array([[0, 3, 5], [1, 4, 5], [2, 5, 3]])
-    before = bpr_loss(forward(build_weights(g), apply_gate(x_in, GateParams.zeros(4)), 2), triples)
+    before = bpr_loss(forward(build_weights(g, TAU), apply_gate(x_in, GateParams.zeros(4)), 2), triples)
     after = bpr_loss(result.embeddings, triples)
     assert after < before

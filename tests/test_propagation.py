@@ -6,19 +6,26 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dynrec.data import apply_temporal, build_graph
-from dynrec.propagation import build_weights, forward, forward_backward, temporal_softmax
+from dynrec.data import build_graph
+from dynrec.propagation import (
+    build_weights,
+    forward,
+    forward_backward,
+    normalize_times,
+    relative_timesteps,
+    temporal_softmax,
+)
 from helpers import dense_forward, dense_operator, edge_array, random_bipartite_edges
 
 # frozen by hand: e / (1 + e) and 1 / (1 + e)
 SIGMOID_ONE = 0.7310585786300049
 SIGMOID_MINUS_ONE = 0.2689414213699951
 
+TAU = 3600.0  # timestep interval in seconds
 
-def _temporal_graph(edges, n_users, n_items, tau=3600.0):
-    return apply_temporal(
-        build_graph(edge_array(edges), n_users, n_items), tau
-    )
+
+def _graph(edges, n_users, n_items):
+    return build_graph(edge_array(edges), n_users, n_items)
 
 
 def _random_case(seed, max_users=25, max_items=25):
@@ -33,16 +40,10 @@ def _random_case(seed, max_users=25, max_items=25):
 # -- temporal softmax ------------------------------------------------------
 
 
-def test_temporal_softmax_requires_time_attributes():
-    g = build_graph(np.array([[0, 1, 0]], dtype=np.int64), 1, 1)
-    with pytest.raises(ValueError, match="temporal"):
-        temporal_softmax(g)
-
-
 def test_temporal_softmax_two_edge_hand_values():
     # one user, two items, normalized times 0 and 1
-    g = _temporal_graph([(0, 1, 0), (0, 2, 3600)], n_users=1, n_items=2)
-    alpha_ui, alpha_iu = temporal_softmax(g)
+    g = _graph([(0, 1, 0), (0, 2, 3600)], n_users=1, n_items=2)
+    alpha_ui, alpha_iu = temporal_softmax(g, TAU)
     assert alpha_ui == pytest.approx(
         [SIGMOID_MINUS_ONE, SIGMOID_ONE], abs=1e-15
     )
@@ -55,8 +56,8 @@ def test_temporal_softmax_sums_to_one_per_neighborhood(seed):
     _, n_users, n_items, edges = _random_case(seed, 10, 10)
     if not edges:
         return
-    g = _temporal_graph(edges, n_users, n_items)
-    alpha_ui, alpha_iu = temporal_softmax(g)
+    g = _graph(edges, n_users, n_items)
+    alpha_ui, alpha_iu = temporal_softmax(g, TAU)
     user_sums = np.bincount(g.edge_user, weights=alpha_ui, minlength=n_users)
     item_sums = np.bincount(g.edge_item_local, weights=alpha_iu, minlength=n_items)
     for sums, degrees in ((user_sums, g.user_degrees()), (item_sums, g.item_degrees())):
@@ -70,9 +71,9 @@ def test_temporal_softmax_orders_by_time_within_neighborhood(seed):
     _, n_users, n_items, edges = _random_case(seed, 8, 8)
     if not edges:
         return
-    g = _temporal_graph(edges, n_users, n_items)
-    alpha_ui, _ = temporal_softmax(g)
-    t = g.edge_time_norm
+    g = _graph(edges, n_users, n_items)
+    alpha_ui, _ = temporal_softmax(g, TAU)
+    t = normalize_times(relative_timesteps(g, TAU))
     for user in range(n_users):
         sel = slice(g.ui_indptr[user], g.ui_indptr[user + 1])
         times, shares = t[sel], alpha_ui[sel]
@@ -89,8 +90,8 @@ def test_temporal_softmax_orders_by_time_within_neighborhood(seed):
 
 def test_edge_weights_symmetric_normalization_hand_case():
     # two users sharing one item: item degree 2, user degrees 1
-    g = _temporal_graph([(0, 2, 0), (1, 2, 10)], n_users=2, n_items=1)
-    w = build_weights(g, no_temporal=True)
+    g = _graph([(0, 2, 0), (1, 2, 10)], n_users=2, n_items=1)
+    w = build_weights(g, TAU, no_temporal=True)
     expected = 1.0 / np.sqrt(2.0)
     dense = w.matrix.toarray()
     # user rows read from the item column, the item row from both user columns
@@ -101,14 +102,14 @@ def test_edge_weights_symmetric_normalization_hand_case():
 
 def test_edge_weights_single_edge_full_weight_is_one():
     # degree-1 on both sides: symmetric part 1, softmax share 1 -> 0.5 + 0.5
-    g = _temporal_graph([(0, 1, 0)], 1, 1)
-    w = build_weights(g)
+    g = _graph([(0, 1, 0)], 1, 1)
+    w = build_weights(g, TAU)
     assert w.matrix.toarray().tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
 
 def test_edge_weights_matrix_layout_and_transpose():
-    g = _temporal_graph([(0, 2, 0), (1, 2, 10)], n_users=2, n_items=1)
-    w = build_weights(g)
+    g = _graph([(0, 2, 0), (1, 2, 10)], n_users=2, n_items=1)
+    w = build_weights(g, TAU)
     dense = w.matrix.toarray()
     # row = destination, column = source; user rows read from item columns
     assert np.flatnonzero(dense).tolist() == [2, 5, 6, 7]
@@ -120,9 +121,18 @@ def test_edge_weights_matrix_layout_and_transpose():
     assert not w.isolated.any()
 
 
+def test_build_weights_on_an_empty_graph_is_all_isolated_and_zero():
+    g = _graph([], n_users=2, n_items=3)
+    for no_temporal in (False, True):
+        w = build_weights(g, TAU, no_temporal=no_temporal)
+        assert w.matrix.shape == w.matrix_t.shape == (5, 5)
+        assert w.matrix.nnz == w.matrix_t.nnz == 0
+        assert w.isolated.tolist() == [True] * 5
+
+
 def test_isolated_nodes_are_flagged():
-    g = _temporal_graph([(0, 3, 0)], n_users=3, n_items=2)
-    w = build_weights(g)
+    g = _graph([(0, 3, 0)], n_users=3, n_items=2)
+    w = build_weights(g, TAU)
     assert w.isolated.tolist() == [False, True, True, False, True]
 
 
@@ -132,8 +142,8 @@ def test_edge_weight_rows_sum_near_one_with_temporal(seed):
     _, n_users, n_items, edges = _random_case(seed, 6, 6)
     if not edges:
         return
-    g = _temporal_graph(edges, n_users, n_items)
-    w = build_weights(g)
+    g = _graph(edges, n_users, n_items)
+    w = build_weights(g, TAU)
     row_sums = np.asarray(w.matrix.sum(axis=1)).ravel()
     softmax_part = 0.5
     deg = g.node_degrees()
@@ -150,8 +160,8 @@ def test_edge_weight_rows_sum_near_one_with_temporal(seed):
 
 
 def test_forward_zero_layers_copies_input():
-    g = _temporal_graph([(0, 1, 0)], 1, 1)
-    w = build_weights(g)
+    g = _graph([(0, 1, 0)], 1, 1)
+    w = build_weights(g, TAU)
     x0 = np.array([[1.0, 2.0], [3.0, 4.0]])
     out = forward(w, x0, 0)
     assert np.array_equal(out, x0) and out is not x0
@@ -160,8 +170,8 @@ def test_forward_zero_layers_copies_input():
 def test_forward_matches_dense_reference_hand_graph():
     edges = [(0, 2, 0), (0, 3, 1800), (1, 3, 3600)]
     tau = 1800.0
-    g = _temporal_graph(edges, 2, 2, tau)
-    w = build_weights(g)
+    g = _graph(edges, 2, 2)
+    w = build_weights(g, tau)
     rng = np.random.default_rng(7)
     x0 = rng.normal(size=(4, 3))
     mat = dense_operator(edges, 2, 2, tau)
@@ -173,8 +183,8 @@ def test_forward_matches_dense_reference_hand_graph():
 
 
 def test_forward_isolated_rows_pass_through():
-    g = _temporal_graph([(0, 2, 0)], n_users=2, n_items=2)
-    w = build_weights(g)
+    g = _graph([(0, 2, 0)], n_users=2, n_items=2)
+    w = build_weights(g, TAU)
     x0 = np.arange(8.0).reshape(4, 2)
     out = forward(w, x0, 3)
     assert np.array_equal(out[1], x0[1])  # untouched user
@@ -183,9 +193,9 @@ def test_forward_isolated_rows_pass_through():
 
 def test_operator_and_transpose_products_match_dense_reference():
     _, n_users, n_items, edges = _random_case(11, 6, 6)
-    g = _temporal_graph(edges, n_users, n_items)
-    w = build_weights(g)
-    mat = dense_operator(edges, n_users, n_items, 3600.0)
+    g = _graph(edges, n_users, n_items)
+    w = build_weights(g, TAU)
+    mat = dense_operator(edges, n_users, n_items, TAU)
     x = np.random.default_rng(0).normal(size=(g.n_nodes, 2))
     assert np.allclose(w.matrix @ x, mat @ x, atol=1e-12)
     assert np.allclose(w.matrix_t @ x, mat.T @ x, atol=1e-12)
@@ -194,8 +204,8 @@ def test_operator_and_transpose_products_match_dense_reference():
 @given(st.integers(0, 400), st.integers(0, 3))
 def test_forward_is_linear(seed, n_layers):
     rng, n_users, n_items, edges = _random_case(seed, 8, 8)
-    g = _temporal_graph(edges, n_users, n_items)
-    w = build_weights(g)
+    g = _graph(edges, n_users, n_items)
+    w = build_weights(g, TAU)
     x = rng.normal(size=(g.n_nodes, 2))
     y = rng.normal(size=(g.n_nodes, 2))
     a, b = 1.7, -0.3
@@ -207,8 +217,8 @@ def test_forward_is_linear(seed, n_layers):
 @given(st.integers(0, 400), st.integers(0, 3))
 def test_adjoint_identity(seed, n_layers):
     rng, n_users, n_items, edges = _random_case(seed, 8, 8)
-    g = _temporal_graph(edges, n_users, n_items)
-    w = build_weights(g)
+    g = _graph(edges, n_users, n_items)
+    w = build_weights(g, TAU)
     x = rng.normal(size=(g.n_nodes, 3))
     y = rng.normal(size=(g.n_nodes, 3))
     lhs = float(np.sum(forward(w, x, n_layers) * y))
@@ -217,8 +227,8 @@ def test_adjoint_identity(seed, n_layers):
 
 
 def test_forward_rejects_negative_layers():
-    g = _temporal_graph([(0, 1, 0)], 1, 1)
-    w = build_weights(g)
+    g = _graph([(0, 1, 0)], 1, 1)
+    w = build_weights(g, TAU)
     with pytest.raises(ValueError):
         forward(w, np.zeros((2, 1)), -1)
     with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dynrec.data import apply_temporal, build_graph
+from dynrec.data import build_graph
 from dynrec.evaluation import pair_keys
 from dynrec.propagation import build_weights, forward
 from dynrec.rng import seed_stream
@@ -27,10 +27,8 @@ from helpers import central_difference, edge_array, random_bipartite_edges, rel_
 SOFTPLUS_MINUS_ONE = 0.31326168751822286
 
 
-def _graph(edges, n_users, n_items, tau=3600.0):
-    return apply_temporal(
-        build_graph(edge_array(edges), n_users, n_items), tau
-    )
+def _graph(edges, n_users, n_items):
+    return build_graph(edge_array(edges), n_users, n_items)
 
 
 # -- config validation -----------------------------------------------------
@@ -162,8 +160,8 @@ def test_bpr_loss_requires_table_when_regularized():
 def test_bpr_gradients_match_finite_differences():
     rng = np.random.default_rng(5)
     edges = [(0, 3, 0), (0, 4, 100), (1, 4, 200), (2, 5, 300)]
-    g = _graph(edges, n_users=3, n_items=3, tau=100.0)
-    w = build_weights(g)
+    g = _graph(edges, n_users=3, n_items=3)
+    w = build_weights(g, 100.0)
     x0 = rng.normal(0.0, 0.5, size=(6, 3))
     triples = np.array([[0, 3, 5], [1, 4, 3], [2, 5, 4]])
     l2 = 1e-3
@@ -180,7 +178,7 @@ def test_bpr_gradients_match_finite_differences():
 def test_bpr_gradients_repeated_rows_accumulate():
     # the same triple twice must double the gradient
     g = _graph([(0, 2, 0), (1, 3, 10)], n_users=2, n_items=2)
-    w = build_weights(g)
+    w = build_weights(g, 3600.0)
     x0 = np.random.default_rng(3).normal(size=(4, 2))
     once = bpr_gradients(w, x0, np.array([[0, 2, 3]]), 1)[1]
     twice = bpr_gradients(w, x0, np.array([[0, 2, 3], [0, 2, 3]]), 1)[1]
@@ -265,6 +263,7 @@ def test_pretrain_is_deterministic():
     assert a.log == b.log
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the injected divergence overflows
 def test_pretrain_raises_when_training_diverges():
     g = _graph(_block_edges(), 6, 6)
     cfg = TrainConfig(learning_rate=1e300, batch_size=8, max_epochs=3, patience=3)
@@ -280,6 +279,17 @@ def test_pretrain_raises_when_the_last_step_overflows_validation():
     g = _graph(random_bipartite_edges(rng, 40, 30, 400), 40, 30)
     cfg = TrainConfig(learning_rate=1e300, batch_size=4096, max_epochs=1, patience=1)
     with pytest.raises(FloatingPointError, match="validation scores overflow at epoch 1"):
+        pretrain(g, 8, 2, 3600.0, cfg)
+
+
+def test_pretrain_raises_when_the_last_step_overflows_without_validation():
+    # no validation pass scores the only step's table, so the final check must
+    rng = np.random.default_rng(0)
+    g = _graph(random_bipartite_edges(rng, 40, 30, 400), 40, 30)
+    cfg = TrainConfig(
+        learning_rate=1e300, batch_size=4096, max_epochs=1, patience=1, val_fraction=0.0
+    )
+    with pytest.raises(FloatingPointError, match="scores overflow at epoch 1"):
         pretrain(g, 8, 2, 3600.0, cfg)
 
 
