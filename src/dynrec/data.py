@@ -23,6 +23,10 @@ from .evaluation import pair_keys
 
 _INT64_MAX = np.iinfo(np.int64).max
 
+# More consecutive empty snapshots than this means a granularity far too fine
+# for the log or an outlying timestamp; each one costs a cycle and adapts nothing.
+MAX_EMPTY_SNAPSHOTS = 100
+
 
 class DataError(ValueError):
     """An input file (interaction log or checkpoint) is malformed or inconsistent."""
@@ -249,7 +253,8 @@ def segment_snapshots(
     with ts < min_ts + pretrain_span form the pre-training graph; the rest
     fall into consecutive buckets of width `granularity` (empty middle
     buckets are kept as empty snapshots). Each snapshot keeps its edges in
-    input order, not timestamp order.
+    input order, not timestamp order. A run of more than
+    `MAX_EMPTY_SNAPSHOTS` consecutive empty snapshots raises DataError.
     """
     if len(edges) == 0:
         raise DataError("no interactions to segment")
@@ -265,12 +270,24 @@ def segment_snapshots(
         raise DataError("no snapshots remain: pre-training span consumes all data")
 
     bucket = (rest[:, 2] - pretrain_end) // granularity
-    n_buckets = int(bucket.max()) + 1
+    counts = np.bincount(bucket)
+    filled = np.flatnonzero(counts)
+    empty_before = np.diff(filled, prepend=-1) - 1  # back to the previous filled one
+    worst = int(np.argmax(empty_before))
+    if empty_before[worst] > MAX_EMPTY_SNAPSHOTS:
+        after = int(rest[bucket == filled[worst], 2].min())
+        before = int(encoded[encoded[:, 2] < after, 2].max())
+        raise DataError(
+            f"a {(after - before) / 3600:.1f} h gap between interactions at ts {before} "
+            f"and ts {after} leaves {empty_before[worst]} consecutive empty snapshots "
+            f"(at most {MAX_EMPTY_SNAPSHOTS}); use a coarser granularity or drop "
+            "the outlying interactions"
+        )
     # a stable sort on the bucket index alone keeps input order inside a bucket
     rest = rest[np.argsort(bucket, kind="stable")]
-    offsets = np.concatenate([[0], np.cumsum(np.bincount(bucket, minlength=n_buckets))])
+    offsets = np.concatenate([[0], np.cumsum(counts)])
     boundaries = tuple(
-        pretrain_end + (k + 1) * int(granularity) for k in range(n_buckets)
+        pretrain_end + (k + 1) * int(granularity) for k in range(len(counts))
     )
     return SnapshotSeries(
         vocab=vocab,

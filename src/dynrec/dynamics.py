@@ -228,12 +228,13 @@ def run_dynamic(
             x_g = apply_gate(
                 x_init, GateParams.random(x_init.shape[1], gate_rng, cfg.random_gate_std)
             )
-            # the operator is not kept in a local, so it is freed before fine-tuning
+            # neither the graph nor its operator outlives this pass into fine-tuning
             x_n0 = forward(
                 build_weights(prompt_graph, cfg.tau_seconds, no_temporal=cfg.no_temporal),
                 x_g,
                 cfg.layers,
             )
+            del prompt_graph
 
         gate = None
         epochs_run = 0

@@ -50,18 +50,18 @@ def apply_gate(x: np.ndarray, gate: GateParams) -> np.ndarray:
 
 
 def gate_gradients(
-    x_in: np.ndarray, gate: GateParams, upstream: np.ndarray
+    x_in: np.ndarray, sig: np.ndarray, upstream: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of the gate parameters given the gradient at the gate output.
 
-    With S = sigmoid(x W^T + b) and output x * S, the pre-activation
-    gradient is upstream * x * S * (1 - S); it contracts against x for dW
-    and sums over rows for db. No gradient flows to x: the gate input is
-    held constant by design.
+    `sig` is S = sigmoid(x W^T + b) at the current parameters. With output
+    x * S, the pre-activation gradient is upstream * x * S * (1 - S); it
+    contracts against x for dW and sums over rows for db. No gradient flows
+    to x: the gate input is held constant by design.
     """
-    pre = x_in @ gate.w.T + gate.b
-    s = expit(pre)
-    m = upstream * x_in * s * (1.0 - s)
+    m = upstream * x_in
+    m *= sig
+    m *= 1.0 - sig
     return m.T @ x_in, m.sum(axis=0)
 
 
@@ -141,10 +141,8 @@ def finetune(
     loss or gradient raises FloatingPointError.
     """
     weights = build_weights(graph, tau, no_temporal=no_temporal)
-    d = x_in.shape[1]
-    gate_w = np.zeros((d, d))
-    gate_b = np.zeros(d)
-    adam = Adam({"w": gate_w, "b": gate_b}, cfg.learning_rate)
+    gate = GateParams.zeros(x_in.shape[1])
+    adam = Adam({"w": gate.w, "b": gate.b}, cfg.learning_rate)
     positives = np.stack([graph.edge_user, graph.edge_item], axis=1)
     log: list[dict] = []
     for epoch in range(1, cfg.max_epochs + 1):
@@ -153,21 +151,20 @@ def finetune(
         for batch, start in enumerate(range(0, order.size, cfg.batch_size), 1):
             rows = positives[order[start : start + cfg.batch_size]]
             triples = sample_negatives(graph, rows, rng)
-            gate = GateParams(w=gate_w, b=gate_b)
-            x_g = apply_gate(x_in, gate)
-            z = forward(weights, x_g, n_layers)
+            # the gate's sigmoid, once per step: it gates the input and its gradient
+            sig = expit(x_in @ gate.w.T + gate.b)
+            z = forward(weights, x_in * sig, n_layers)
             loss, grad_z = bpr_grad_final(z, triples)
             upstream = forward_backward(weights, grad_z, n_layers)
-            grad_w, grad_b = gate_gradients(x_in, gate, upstream)
+            grad_w, grad_b = gate_gradients(x_in, sig, upstream)
             if cfg.l2_reg > 0.0:
-                loss += cfg.l2_reg * float(np.sum(gate_w**2) + np.sum(gate_b**2))
-                grad_w += 2.0 * cfg.l2_reg * gate_w
-                grad_b += 2.0 * cfg.l2_reg * gate_b
+                loss += cfg.l2_reg * float(np.sum(gate.w**2) + np.sum(gate.b**2))
+                grad_w += 2.0 * cfg.l2_reg * gate.w
+                grad_b += 2.0 * cfg.l2_reg * gate.b
             check_finite(loss, (grad_w, grad_b), epoch, batch)
             adam.step({"w": grad_w, "b": grad_b})
             total += loss
         log.append({"epoch": epoch, "loss": total / max(positives.shape[0], 1)})
-    gate = GateParams(w=gate_w, b=gate_b)
     embeddings = forward(weights, apply_gate(x_in, gate), n_layers)
     return FinetuneResult(
         gate=gate, embeddings=embeddings, log=log, optimizer_steps=adam.step_count

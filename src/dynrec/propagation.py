@@ -124,10 +124,10 @@ def forward(
     for _ in range(n_layers):
         x = weights.matrix @ x
         acc += x
-    out = acc / float(n_layers + 1)
+    acc /= float(n_layers + 1)
     if n_layers and weights.isolated.any():
-        out[weights.isolated] = x0[weights.isolated]
-    return out
+        acc[weights.isolated] = x0[weights.isolated]
+    return acc
 
 
 def forward_backward(
@@ -141,15 +141,14 @@ def forward_backward(
     """
     if n_layers < 0:
         raise ValueError("n_layers must be >= 0")
-    g = grad_out.copy()
+    acc = grad_out.copy()
     if n_layers and weights.isolated.any():
-        g[weights.isolated] = 0.0
-    acc = g.copy()
-    cur = g
+        acc[weights.isolated] = 0.0
+    cur = acc  # read by the first product before `acc` accumulates
     for _ in range(n_layers):
         cur = weights.matrix_t @ cur
         acc += cur
-    grad_x0 = acc / float(n_layers + 1)
+    acc /= float(n_layers + 1)
     if n_layers and weights.isolated.any():
-        grad_x0[weights.isolated] += grad_out[weights.isolated]
-    return grad_x0
+        acc[weights.isolated] += grad_out[weights.isolated]
+    return acc

@@ -57,28 +57,6 @@ def planted_blocks(
     return np.array(log, dtype=np.int64).reshape(-1, 3)
 
 
-def split_by_user(
-    edges: np.ndarray, test_fraction: float, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-user random holdout; users with a single edge stay train-only.
-
-    Both halves list their rows by ascending user, in input order within a
-    user.
-    """
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must lie in (0, 1)")
-    edges = edges[np.argsort(edges[:, 0], kind="stable")]
-    _, starts, degrees = np.unique(edges[:, 0], return_index=True, return_counts=True)
-    rng = seed_stream(seed, "synthetic-split")
-    held = np.zeros(len(edges), dtype=bool)
-    for lo, deg in zip(starts.tolist(), degrees.tolist()):
-        if deg < 2:
-            continue
-        n_test = min(deg - 1, max(1, int(deg * test_fraction)))
-        held[lo + rng.choice(deg, size=n_test, replace=False)] = True
-    return edges[~held], edges[held]
-
-
 def drift_series(
     n_blocks: int = 8,
     users_per_block: int = 50,

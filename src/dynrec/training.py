@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import expit
 
 from .data import DataError, InteractionGraph, build_graph
@@ -61,7 +62,11 @@ class TrainConfig:
 
 
 class Adam:
-    """Adam over a dict of named arrays, updated in place."""
+    """Adam over a dict of named arrays, updated in place.
+
+    `step` consumes its gradients: it overwrites each one as scratch space
+    (pass a copy to keep it) and allocates one more array per parameter.
+    """
 
     def __init__(
         self,
@@ -86,13 +91,21 @@ class Adam:
         for name, g in grads.items():
             m = self._m[name]
             v = self._v[name]
+            # p -= lr * (m / c1) / (sqrt(v / c2) + eps), evaluated in that order
+            scratch = np.multiply(g, 1.0 - self.beta1)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += scratch
+            np.square(g, out=g)
+            g *= 1.0 - self.beta2
             v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(g)
-            m_hat = m / (1.0 - self.beta1**t)
-            v_hat = v / (1.0 - self.beta2**t)
-            self.params[name] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+            v += g
+            np.divide(m, 1.0 - self.beta1**t, out=scratch)
+            scratch *= self.learning_rate
+            np.divide(v, 1.0 - self.beta2**t, out=g)
+            np.sqrt(g, out=g)
+            g += self.eps
+            scratch /= g
+            self.params[name] -= scratch
 
 
 def check_finite(loss: float, grads: tuple[np.ndarray, ...], epoch: int, batch: int) -> None:
@@ -138,45 +151,31 @@ def sample_negatives(
     return triples
 
 
-def bpr_loss(
-    x_final: np.ndarray,
-    triples: np.ndarray,
-    x0: np.ndarray | None = None,
-    l2_reg: float = 0.0,
-) -> float:
-    """Pairwise ranking loss over (user, positive, negative) triples.
-
-    Scores are dot products of final embeddings. With `l2_reg` > 0 the
-    penalty applies to the initial-table rows of each triple, counted once
-    per occurrence.
-    """
-    u, i, j = triples[:, 0], triples[:, 1], triples[:, 2]
-    s = np.einsum("nd,nd->n", x_final[u], x_final[i] - x_final[j])
-    loss = float(np.sum(np.logaddexp(0.0, -s)))
-    if l2_reg > 0.0:
-        if x0 is None:
-            raise ValueError("l2_reg > 0 requires the initial embedding table")
-        rows = triples.ravel()
-        loss += l2_reg * float(np.sum(x0[rows] ** 2))
-    return loss
-
-
 def bpr_grad_final(z: np.ndarray, triples: np.ndarray) -> tuple[float, np.ndarray]:
     """Pairwise ranking loss over final embeddings `z` and its gradient w.r.t. `z`.
 
     Each triple's score gradient is scattered onto its user, positive and
-    negative rows; rows repeated across triples accumulate.
+    negative rows; rows repeated across triples accumulate. The scatter is
+    one sparse product whose row r sums r's occurrences as a user, then as a
+    positive, then as a negative, each in triple order: `np.add.at`'s order
+    over the three columns in turn, so its rounding too.
     """
+    b = len(triples)
     u, i, j = triples[:, 0], triples[:, 1], triples[:, 2]
-    zu, zi, zj = z[u], z[i], z[j]
-    s = np.einsum("nd,nd->n", zu, zi - zj)
+    zu = z[u]
+    diff = z[i] - z[j]
+    s = np.einsum("nd,nd->n", zu, diff)
     loss = float(np.sum(np.logaddexp(0.0, -s)))
     coef = expit(-s)[:, None]  # -dL/ds for each triple
-    grad_z = np.zeros_like(z)
-    np.add.at(grad_z, u, -coef * (zi - zj))
-    np.add.at(grad_z, i, -coef * zu)
-    np.add.at(grad_z, j, coef * zu)
-    return loss, grad_z
+    vals = np.empty((3 * b, z.shape[1]))
+    np.multiply(-coef, diff, out=vals[:b])
+    np.multiply(-coef, zu, out=vals[b : 2 * b])
+    np.multiply(coef, zu, out=vals[2 * b :])
+    scatter = sp.csr_matrix(
+        (np.ones(3 * b), (triples.ravel(order="F"), np.arange(3 * b))),
+        shape=(z.shape[0], 3 * b),
+    )
+    return loss, scatter @ vals
 
 
 def bpr_gradients(
@@ -198,7 +197,13 @@ def bpr_gradients(
     if l2_reg > 0.0:
         rows = triples.ravel()
         loss += l2_reg * float(np.sum(x0[rows] ** 2))
-        np.add.at(grad_x0, rows, 2.0 * l2_reg * x0[rows])
+        # row r gets the same 2 * l2 * x0[r] once per occurrence: adding it in
+        # rounds over the rows still due one rounds as `np.add.at` does
+        nodes, counts = np.unique(rows, return_counts=True)
+        add = 2.0 * l2_reg * x0[nodes]
+        for t in range(1, int(counts.max(initial=0)) + 1):
+            due = counts >= t
+            grad_x0[nodes[due]] += add[due]
     return loss, grad_x0
 
 

@@ -2,13 +2,17 @@
 
 Everything in this module is deliberately written with dense arrays and
 explicit Python loops, sharing no code with the package, so agreement
-between the two is meaningful evidence rather than a tautology.
+between the two is meaningful evidence rather than a tautology. The one
+exception is `split_by_user`, a data split rather than an oracle, which
+draws from the package's seeded streams.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+from dynrec.rng import seed_stream
 
 
 def rel_err(a, b) -> float:
@@ -132,6 +136,67 @@ def random_bipartite_edges(
 def edge_array(edges: list[tuple[int, int, int]]) -> np.ndarray:
     """(user, item, ts) tuples as the package's (E, 3) int64 edge array."""
     return np.array(edges, dtype=np.int64).reshape(-1, 3)
+
+
+def bpr_loss(
+    x_final: np.ndarray,
+    triples: np.ndarray,
+    x0: np.ndarray | None = None,
+    l2_reg: float = 0.0,
+) -> float:
+    """Pairwise ranking loss over (user, positive, negative) triples.
+
+    Scores are dot products of final embeddings. With `l2_reg` > 0 the
+    penalty applies to the initial-table rows of each triple, counted once
+    per occurrence.
+    """
+    u, i, j = triples[:, 0], triples[:, 1], triples[:, 2]
+    s = np.einsum("nd,nd->n", x_final[u], x_final[i] - x_final[j])
+    loss = float(np.sum(np.logaddexp(0.0, -s)))
+    if l2_reg > 0.0:
+        if x0 is None:
+            raise ValueError("l2_reg > 0 requires the initial embedding table")
+        rows = triples.ravel()
+        loss += l2_reg * float(np.sum(x0[rows] ** 2))
+    return loss
+
+
+def adam_reference(param, grads, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Out-of-place Adam over a list of gradients; returns the final parameter."""
+    param = param.copy()
+    m = np.zeros_like(param)
+    v = np.zeros_like(param)
+    for t, g in enumerate(grads, start=1):
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * np.square(g)
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        param -= learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+    return param
+
+
+def split_by_user(
+    edges: np.ndarray, test_fraction: float, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-user random holdout; users with a single edge stay train-only.
+
+    Both halves list their rows by ascending user, in input order within a
+    user.
+    """
+    if not 0.0 < test_fraction < 1.0:
+        raise ValueError("test_fraction must lie in (0, 1)")
+    edges = edges[np.argsort(edges[:, 0], kind="stable")]
+    _, starts, degrees = np.unique(edges[:, 0], return_index=True, return_counts=True)
+    rng = seed_stream(seed, "synthetic-split")
+    held = np.zeros(len(edges), dtype=bool)
+    for lo, deg in zip(starts.tolist(), degrees.tolist()):
+        if deg < 2:
+            continue
+        n_test = min(deg - 1, max(1, int(deg * test_fraction)))
+        held[lo + rng.choice(deg, size=n_test, replace=False)] = True
+    return edges[~held], edges[held]
 
 
 def central_difference(fn, array: np.ndarray, h: float = 1e-5) -> np.ndarray:

@@ -18,6 +18,7 @@ import time
 from collections import deque
 
 import numpy as np
+from scipy.special import expit
 
 import dynrec.training as training_mod
 from dynrec.cli import main as cli_main
@@ -34,9 +35,10 @@ from dynrec.propagation import (
     relative_timesteps,
     temporal_softmax,
 )
-from dynrec.synthetic import drift_series, planted_blocks, split_by_user, write_tsv
-from dynrec.training import TrainConfig, bpr_gradients, bpr_loss, pretrain
+from dynrec.synthetic import drift_series, planted_blocks, write_tsv
+from dynrec.training import TrainConfig, bpr_gradients, pretrain
 from helpers import (
+    bpr_loss,
     brute_force_ndcg,
     brute_force_recall,
     brute_force_topk,
@@ -46,6 +48,7 @@ from helpers import (
     edge_array,
     random_bipartite_edges,
     rel_err,
+    split_by_user,
 )
 
 
@@ -218,7 +221,8 @@ def test_criterion_03_gradient_suite(capsys):
         upstream = bpr_gradients(
             weights, apply_gate(x_in, gate), triples, n_layers, 0.0
         )[1]
-        grad_w, grad_b = gate_gradients(x_in, gate, upstream)
+        sig = expit(x_in @ gate.w.T + gate.b)
+        grad_w, grad_b = gate_gradients(x_in, sig, upstream)
 
         def gate_loss() -> float:
             return bpr_loss(

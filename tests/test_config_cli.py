@@ -401,6 +401,18 @@ def test_cli_exits_1_on_a_log_that_cannot_be_trained(tmp_path, caplog, log, sett
     assert message in caplog.text
 
 
+def test_cli_exits_1_on_a_time_gap_storm_without_a_run_directory(tmp_path, caplog):
+    # three interactions, the last about three years after the others: daily
+    # snapshots would leave over a thousand empty cycles
+    data = tmp_path / "storm.tsv"
+    data.write_text("0\t1\t0\n1\t2\t1800\n0\t2\t100000000\n")
+    out = tmp_path / "out"
+    assert main(["run-dynamic", "--data", str(data), "--out", str(out), "--quiet",
+                 *CLI_SETTINGS, "--set", "pretrain_span_hours=1"]) == 1
+    assert "gap between interactions at ts 1800 and ts 100000000" in caplog.text
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line", ["1\t2\n", "1\tx\t3\n", f"1\t{2**63}\t3\n"])
 def test_cli_exit_code_for_invalid_data_line(tmp_path, line):
     data = tmp_path / "bad.tsv"

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from helpers import edge_array
 
 from dynrec.data import (
+    MAX_EMPTY_SNAPSHOTS,
+    DataError,
     Vocabulary,
     build_graph,
     ingest_interactions,
@@ -267,6 +269,26 @@ def test_segment_snapshots_errors():
         segment_snapshots(edge_array([(0, 1, 5)]), pretrain_span=0, granularity=10)
 
 
+@pytest.mark.parametrize("last", [3540, 3660], ids=["after-pretrain", "between-snapshots"])
+def test_segment_snapshots_bounds_consecutive_empty_snapshots(last):
+    # pretrain [0, 3600) and hourly snapshots; `last` closes the pre-training
+    # span or fills the first snapshot, and the next interaction follows a gap
+    def log(n_empty):
+        after = (last // 3600 + n_empty + 1) * 3600
+        return edge_array([(0, 10, 0), (0, 11, last), (1, 10, after)]), after
+
+    edges, _ = log(MAX_EMPTY_SNAPSHOTS)
+    counts = segment_snapshots(edges, 3600, 3600).manifest()["edge_counts"]
+    assert counts.count(0) == MAX_EMPTY_SNAPSHOTS
+    edges, after = log(MAX_EMPTY_SNAPSHOTS + 1)
+    message = (
+        rf"a {(after - last) / 3600:.1f} h gap between interactions at ts {last} and ts "
+        rf"{after} leaves {MAX_EMPTY_SNAPSHOTS + 1} consecutive empty snapshots"
+    )
+    with pytest.raises(DataError, match=message):
+        segment_snapshots(edges, 3600, 3600)
+
+
 @given(
     st.lists(st.integers(0, 5000), min_size=2, max_size=60),
     st.integers(1, 2000),
@@ -277,6 +299,11 @@ def test_segment_snapshots_partition(stamps, span, gran):
     lo = min(stamps)
     if max(stamps) < lo + span:
         with pytest.raises(ValueError):
+            segment_snapshots(log, span, gran)
+        return
+    filled = sorted({(ts - lo - span) // gran for ts in stamps if ts >= lo + span})
+    if max(b - a - 1 for a, b in zip([-1] + filled, filled)) > MAX_EMPTY_SNAPSHOTS:
+        with pytest.raises(DataError, match="consecutive empty snapshots"):
             segment_snapshots(log, span, gran)
         return
     series = segment_snapshots(log, span, gran)

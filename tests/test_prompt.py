@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from dynrec.data import build_graph
 from dynrec.propagation import build_weights, forward
@@ -17,8 +18,8 @@ from dynrec.prompt import (
     snapshot_retention,
 )
 from dynrec.rng import seed_stream
-from dynrec.training import TrainConfig, bpr_loss
-from helpers import central_difference, edge_array, rel_err
+from dynrec.training import TrainConfig
+from helpers import bpr_loss, central_difference, edge_array, rel_err
 
 # frozen by hand: sigmoid(ln 3) = 3/4
 SIGMOID_LOG3 = 0.75
@@ -57,7 +58,7 @@ def test_gate_gradients_match_finite_differences():
     x_in = rng.normal(size=(6, 3))
     gate = GateParams(w=rng.normal(0, 0.3, size=(3, 3)), b=rng.normal(0, 0.3, size=3))
     upstream = rng.normal(size=(6, 3))
-    grad_w, grad_b = gate_gradients(x_in, gate, upstream)
+    grad_w, grad_b = gate_gradients(x_in, expit(x_in @ gate.w.T + gate.b), upstream)
 
     def objective() -> float:
         return float(np.sum(upstream * apply_gate(x_in, gate)))
@@ -70,10 +71,11 @@ def test_gate_gradients_match_finite_differences():
 
 def test_gate_gradients_do_not_touch_inputs():
     x_in = np.ones((3, 2))
-    gate = GateParams.zeros(2)
-    before = x_in.tobytes()
-    gate_gradients(x_in, gate, np.ones((3, 2)))
-    assert x_in.tobytes() == before
+    sig = np.full((3, 2), 0.5)
+    upstream = np.ones((3, 2))
+    before = x_in.tobytes() + sig.tobytes() + upstream.tobytes()
+    gate_gradients(x_in, sig, upstream)
+    assert x_in.tobytes() + sig.tobytes() + upstream.tobytes() == before
 
 
 def test_random_gate_is_seeded_and_non_trivial():

@@ -9,9 +9,9 @@ from dynrec.synthetic import (
     DAY_SECONDS,
     drift_series,
     planted_blocks,
-    split_by_user,
     write_tsv,
 )
+from helpers import split_by_user
 
 
 def test_planted_blocks_confines_users_to_their_block():

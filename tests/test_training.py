@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from dynrec.data import build_graph
 from dynrec.evaluation import pair_keys
@@ -16,12 +17,19 @@ from dynrec.training import (
     Adam,
     TrainConfig,
     bpr_gradients,
-    bpr_loss,
+    bpr_grad_final,
     holdout_split,
     pretrain,
     sample_negatives,
 )
-from helpers import central_difference, edge_array, random_bipartite_edges, rel_err
+from helpers import (
+    adam_reference,
+    bpr_loss,
+    central_difference,
+    edge_array,
+    random_bipartite_edges,
+    rel_err,
+)
 
 # frozen by hand: log(1 + exp(-1))
 SOFTPLUS_MINUS_ONE = 0.31326168751822286
@@ -183,6 +191,58 @@ def test_bpr_gradients_repeated_rows_accumulate():
     once = bpr_gradients(w, x0, np.array([[0, 2, 3]]), 1)[1]
     twice = bpr_gradients(w, x0, np.array([[0, 2, 3], [0, 2, 3]]), 1)[1]
     assert np.allclose(twice, 2.0 * once, atol=1e-12)
+
+
+def _add_at_grad_final(z, triples):
+    # the scatter as np.add.at does it: user, positive, negative columns in turn
+    u, i, j = triples[:, 0], triples[:, 1], triples[:, 2]
+    zu, zi, zj = z[u], z[i], z[j]
+    coef = expit(-np.einsum("nd,nd->n", zu, zi - zj))[:, None]
+    grad = np.zeros_like(z)
+    np.add.at(grad, u, -coef * (zi - zj))
+    np.add.at(grad, i, -coef * zu)
+    np.add.at(grad, j, coef * zu)
+    return grad
+
+
+def test_bpr_grad_final_matches_add_at_bitwise():
+    rng = np.random.default_rng(11)
+    z = rng.normal(size=(7, 5))
+    # 300 triples over 6 of 7 nodes: every node recurs in all three roles,
+    # one triple names the same node three times, and node 6 never appears
+    triples = rng.integers(0, 6, size=(300, 3))
+    triples[17] = [4, 4, 4]
+    loss, grad = bpr_grad_final(z, triples)
+    np.testing.assert_array_equal(grad, _add_at_grad_final(z, triples))
+    assert loss == bpr_loss(z, triples)
+    assert not grad[6].any()
+
+
+def test_bpr_gradients_l2_rounds_match_add_at_bitwise():
+    rng = np.random.default_rng(12)
+    g = _graph(random_bipartite_edges(rng, 4, 5, 12), 4, 5)
+    w = build_weights(g, 3600.0)
+    x0 = rng.normal(size=(9, 3))
+    users = rng.integers(0, 4, size=(200, 1))
+    triples = np.hstack([users, 4 + rng.integers(0, 5, size=(200, 2))])
+    l2 = 3e-2
+    loss, grad = bpr_gradients(w, x0, triples, 2, l2)
+    plain_loss, expected = bpr_gradients(w, x0, triples, 2)
+    rows = triples.ravel()
+    np.add.at(expected, rows, 2.0 * l2 * x0[rows])
+    np.testing.assert_array_equal(grad, expected)
+    assert loss == plain_loss + l2 * float(np.sum(x0[rows] ** 2))
+
+
+def test_adam_in_place_matches_out_of_place_formula_bitwise():
+    rng = np.random.default_rng(13)
+    start = rng.normal(size=(6, 4))
+    grads = [rng.normal(size=(6, 4)) for _ in range(5)]
+    x = start.copy()
+    opt = Adam({"x": x}, learning_rate=0.05)
+    for g in grads:
+        opt.step({"x": g.copy()})
+    np.testing.assert_array_equal(x, adam_reference(start, grads, 0.05))
 
 
 # -- validation holdout ----------------------------------------------------
