@@ -1,11 +1,14 @@
 """Log ingestion, snapshot segmentation and sparse graph construction.
 
-Input data is a log of (user, item, unix-timestamp) triples. Users and items
-are remapped onto one global id space (users first, then items) so a single
-embedding table serves both. The log is split into a pre-training graph plus
-a sequence of fixed-width time-slot snapshots, and each edge set can be built
-into an immutable user-grouped CSR graph that keeps each edge's raw
-timestamp. Turning timestamps into edge weights is `propagation`'s job.
+Input data is a log of (user, item, unix-timestamp) triples. A plain log is
+parsed by one np.loadtxt call; a line loop, which alone defines what is
+accepted, reads any other log and names its first bad line. Users and items
+are remapped onto one global id space (users first, then items), one sort
+per id column, so a single embedding table serves both. The log is split
+into a pre-training graph plus a sequence of fixed-width time-slot
+snapshots, and each edge set can be built into an immutable user-grouped
+CSR graph that keeps each edge's raw timestamp. Turning timestamps into
+edge weights is `propagation`'s job.
 
 Every edge set outside a graph, from ingest to evaluation, is an (E, 3)
 int64 array of (user, item, ts_unix) rows.
@@ -13,9 +16,10 @@ int64 array of (user, item, ts_unix) rows.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable
 
 import numpy as np
 
@@ -59,37 +63,19 @@ class Vocabulary:
     def n_nodes(self) -> int:
         return self.n_users + self.n_items
 
-    def encode(self, edges: np.ndarray) -> np.ndarray:
-        """Map raw ids into the global id space; every id must be in the vocabulary."""
-        user = np.searchsorted(self.users, edges[:, 0])
-        item = np.searchsorted(self.items, edges[:, 1])
-        if not (
-            np.array_equal(self.users.take(user, mode="clip"), edges[:, 0])
-            and np.array_equal(self.items.take(item, mode="clip"), edges[:, 1])
-        ):
-            raise ValueError("edge id outside the vocabulary")
-        return np.stack([user, self.n_users + item, edges[:, 2]], axis=1)
+
+# An array np.loadtxt reads from a log of these bytes is the line loop's if it
+# has 3 columns and no negative value. Other bytes can differ: loadtxt strips
+# 0x1c-0x1f and, decoding latin-1, 0x85 and 0xa0 around a number; int does not.
+_PLAIN_BYTES = b"0123456789+- \t\r\n"
 
 
-def _iter_lines(source: IO[bytes] | IO[str] | Iterable[str]) -> Iterator[str]:
-    for raw in source:
-        yield raw.decode("utf-8") if isinstance(raw, bytes) else raw
-
-
-def ingest_interactions(
-    source: IO[bytes] | IO[str] | Iterable[str],
-) -> tuple[np.ndarray, Vocabulary]:
-    """Parse `user<TAB>item<TAB>ts_unix` lines and build the global id remap.
-
-    Returns the edges as an (E, 3) int64 array of (user, item, ts_unix) rows
-    in input order with their original ids, plus the vocabulary mapping raw
-    ids onto the global id space. Blank lines are skipped; anything else
-    that does not parse as three integers in [0, 2**63) raises DataError
-    naming the 1-based line number. Empty input yields a (0, 3) array, not
-    an error.
-    """
+def _parse_lines(lines: IO[bytes] | IO[str] | Iterable[bytes] | Iterable[str]) -> np.ndarray:
+    """The line loop, which defines an accepted log (see `ingest_interactions`)."""
     rows: list[tuple[int, int, int]] = []
-    for lineno, line in enumerate(_iter_lines(source), start=1):
+    for lineno, raw in enumerate(lines, start=1):
+        # a byte that is not UTF-8 becomes a lone surrogate, which no field accepts
+        line = raw.decode("utf-8", "surrogateescape") if isinstance(raw, bytes) else raw
         stripped = line.rstrip("\n").rstrip("\r")
         if not stripped.strip():
             continue
@@ -115,7 +101,39 @@ def ingest_interactions(
                 f"malformed interaction at line {lineno}: value outside [0, 2**63)"
             )
         rows.append((user, item, ts))
-    edges = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    return np.array(rows, dtype=np.int64).reshape(-1, 3)
+
+
+def ingest_interactions(
+    source: IO[bytes] | IO[str] | Iterable[bytes] | Iterable[str],
+) -> tuple[np.ndarray, Vocabulary]:
+    """Parse `user<TAB>item<TAB>ts_unix` lines and build the global id remap.
+
+    Returns the edges as an (E, 3) int64 array of (user, item, ts_unix) rows
+    in input order with their original ids, plus the vocabulary mapping raw
+    ids onto the global id space. The line loop decides what is accepted:
+    bytes decode as UTF-8, blank lines are skipped, and any other line, less
+    its LF and the CRs before it, that is not three tab-separated int fields
+    in [0, 2**63) raises DataError naming its 1-based line number. Empty
+    input yields a (0, 3) array. A seekable binary handle of `_PLAIN_BYTES`
+    is first parsed by one np.loadtxt call, kept if it yields 3 columns and
+    no negative value.
+    """
+    edges = None
+    if isinstance(source, io.BufferedIOBase) and source.seekable():
+        start, plain, blank = source.tell(), True, True
+        for block in iter(lambda: source.read(1 << 20), b""):
+            plain = plain and not block.translate(None, _PLAIN_BYTES)
+            blank = blank and not block.strip()
+        source.seek(start)
+        if plain and not blank:  # loadtxt warns of no data in a blank log
+            try:
+                edges = np.loadtxt(source, dtype=np.int64, delimiter="\t", comments=None, ndmin=2)
+            except ValueError:
+                pass
+            source.seek(start)
+    if edges is None or edges.shape[1] != 3 or (edges < 0).any():
+        edges = _parse_lines(source)
     return edges, Vocabulary.from_edges(edges)
 
 
@@ -260,8 +278,9 @@ def segment_snapshots(
         raise DataError("no interactions to segment")
     if pretrain_span <= 0 or granularity <= 0:
         raise ValueError("pretrain_span and granularity must be positive")
-    vocab = Vocabulary.from_edges(edges)
-    encoded = vocab.encode(edges)
+    users, user = np.unique(edges[:, 0], return_inverse=True)
+    items, item = np.unique(edges[:, 1], return_inverse=True)
+    encoded = np.stack([user, users.size + item, edges[:, 2]], axis=1)
     pretrain_end = int(encoded[:, 2].min()) + int(pretrain_span)
 
     in_pretrain = encoded[:, 2] < pretrain_end
@@ -290,8 +309,8 @@ def segment_snapshots(
         pretrain_end + (k + 1) * int(granularity) for k in range(len(counts))
     )
     return SnapshotSeries(
-        vocab=vocab,
-        pretrain=build_graph(encoded[in_pretrain], vocab.n_users, vocab.n_items),
+        vocab=Vocabulary(users=users, items=items),
+        pretrain=build_graph(encoded[in_pretrain], users.size, items.size),
         snapshots=tuple(rest[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])),
         pretrain_end=pretrain_end,
         boundaries=boundaries,

@@ -152,9 +152,9 @@ def _evaluate_cycle(
     """
     n_users, n_items = series.n_users, series.n_items
     train_snapshot = series.snapshots[k]
-    seen = np.sort(
-        np.concatenate([seen, pair_keys(train_snapshot, n_users, n_items)])
-    )
+    # two sorted runs, which a stable sort (timsort) merges in linear time
+    fresh = np.sort(pair_keys(train_snapshot, n_users, n_items))
+    seen = np.sort(np.concatenate([seen, fresh]), kind="stable")
     relevant = pair_keys(series.snapshots[k + 1], n_users, n_items)
     report = evaluate_users(x, n_users, relevant, seen, cfg.k, _candidate_items(cfg, n_items, k))
     tuned = np.isin(report.users, train_snapshot[:, 0])
@@ -202,7 +202,7 @@ def run_dynamic(
     result = DynamicResult(pretrain_log=pretrain_log, pretrained=x_p)
     n_users, n_items = series.n_users, series.n_items
     window: deque[np.ndarray] = deque(maxlen=cfg.omega)  # newest first
-    seen = pair_keys(series.pretrain.edges(), n_users, n_items)
+    seen = series.pretrain.keys
 
     for k in range(series.n_snapshots - 1):
         started = time.perf_counter()
@@ -296,7 +296,7 @@ def run_frozen(
     weights_p = build_weights(series.pretrain, cfg.tau_seconds, no_temporal=cfg.no_temporal)
     z_p = forward(weights_p, x_p, cfg.layers)
 
-    seen = pair_keys(series.pretrain.edges(), series.n_users, series.n_items)
+    seen = series.pretrain.keys
     for k in range(series.n_snapshots - 1):
         seen = _evaluate_cycle(result, series, cfg, k, z_p, seen, time.perf_counter())
     return result

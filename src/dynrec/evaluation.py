@@ -142,8 +142,11 @@ def evaluate_users(
     """
     n_items = x.shape[0] - n_users
     relevant = np.unique(relevant)
-    relevant = relevant[~np.isin(relevant, seen)]
-    users, n_relevant = np.unique(relevant // n_items, return_counts=True)
+    # a key is in the sorted `seen` where its two insertion points differ
+    relevant = relevant[np.searchsorted(seen, relevant) == np.searchsorted(seen, relevant, "right")]
+    owner = relevant // n_items  # ascending, so each user's keys form one run
+    first = np.flatnonzero(np.diff(owner, prepend=-1))
+    users, n_relevant = owner[first], np.diff(first, append=owner.size)
     step = max(1, BLOCK_BYTES // (x.itemsize * max(n_items, 1)))
     recalls, ndcgs = [np.empty(0)], [np.empty(0)]
     for lo in range(0, users.size, step):

@@ -138,6 +138,18 @@ def edge_array(edges: list[tuple[int, int, int]]) -> np.ndarray:
     return np.array(edges, dtype=np.int64).reshape(-1, 3)
 
 
+def encode(vocab, edges: np.ndarray) -> np.ndarray:
+    """Map raw ids into `vocab`'s global id space; every id must be in it."""
+    user = np.searchsorted(vocab.users, edges[:, 0])
+    item = np.searchsorted(vocab.items, edges[:, 1])
+    if not (
+        np.array_equal(vocab.users.take(user, mode="clip"), edges[:, 0])
+        and np.array_equal(vocab.items.take(item, mode="clip"), edges[:, 1])
+    ):
+        raise ValueError("edge id outside the vocabulary")
+    return np.stack([user, vocab.n_users + item, edges[:, 2]], axis=1)
+
+
 def bpr_loss(
     x_final: np.ndarray,
     triples: np.ndarray,

@@ -46,6 +46,7 @@ from helpers import (
     dense_forward,
     dense_operator,
     edge_array,
+    encode,
     random_bipartite_edges,
     rel_err,
     split_by_user,
@@ -490,7 +491,7 @@ def test_criterion_07_synthetic_learnability(capsys):
     train, test = split_by_user(log, 0.2, seed=3)
     vocab = Vocabulary.from_edges(log)
     n_users, n_items = vocab.n_users, vocab.n_items
-    train_graph = build_graph(vocab.encode(train), n_users, n_items)
+    train_graph = build_graph(encode(vocab, train), n_users, n_items)
 
     cfg = TrainConfig(
         learning_rate=5e-3,
@@ -505,7 +506,7 @@ def test_criterion_07_synthetic_learnability(capsys):
 
     weights = build_weights(train_graph, 86_400.0)
     z = forward(weights, result.embeddings, 3)
-    relevant = pair_keys(vocab.encode(test), n_users, n_items)
+    relevant = pair_keys(encode(vocab, test), n_users, n_items)
     report = evaluate_users(z, n_users, relevant, train_graph.keys, 20)
     elapsed = time.perf_counter() - started
 

@@ -421,6 +421,16 @@ def test_cli_exit_code_for_invalid_data_line(tmp_path, line):
                  "--quiet", *CLI_SETTINGS]) == 1
 
 
+def test_cli_exits_1_naming_the_line_of_bytes_that_are_not_utf8(tmp_path, caplog):
+    # a UnicodeDecodeError is a ValueError, which the CLI reads as bad configuration
+    data = tmp_path / "latin1.tsv"
+    data.write_bytes(b"1\t2\t3\n4\t5\t6\xff\n")
+    out = tmp_path / "out"
+    assert main(["pretrain", "--data", str(data), "--out", str(out), "--quiet", *CLI_SETTINGS]) == 1
+    assert "invalid input: malformed interaction at line 2" in caplog.text
+    assert not out.exists()
+
+
 def test_cli_config_file_round_trip(cli_data, tmp_path):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text("d = 8\nlayers = 2\nmax_epochs = 2\npatience = 2\n"

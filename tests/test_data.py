@@ -3,13 +3,16 @@ from __future__ import annotations
 
 import io
 import math
+import os
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import edge_array
+from helpers import edge_array, encode
 
 from dynrec.data import (
     MAX_EMPTY_SNAPSHOTS,
@@ -50,9 +53,12 @@ def test_ingest_accepts_bytes_and_skips_blank_lines():
 
 
 def test_ingest_empty_input_yields_empty_log():
-    edges, vocab = ingest_interactions(io.StringIO(""))
-    assert edges.shape == (0, 3) and edges.dtype == np.int64
-    assert vocab.n_nodes == 0
+    for source in (io.StringIO(""), io.BytesIO(b"")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            edges, vocab = ingest_interactions(source)
+        assert edges.shape == (0, 3) and edges.dtype == np.int64
+        assert vocab.n_nodes == 0
 
 
 @pytest.mark.parametrize(
@@ -64,11 +70,108 @@ def test_ingest_empty_input_yields_empty_log():
         ("1\t2\t-3\n", 1),
         ("1 2 3\n", 1),
         ("1\t2\t3\n1\t99999999999999999999\t3\n", 2),
+        (b"1\t2\t3\n4\t5\t6\xff\n", 2),
     ],
 )
 def test_ingest_rejects_malformed_lines_with_line_number(text, lineno):
-    with pytest.raises(ValueError, match=f"line {lineno}"):
-        ingest_interactions(io.StringIO(text))
+    source = io.BytesIO(text) if isinstance(text, bytes) else io.StringIO(text)
+    with pytest.raises(DataError, match=f"line {lineno}"):
+        ingest_interactions(source)
+
+
+def _ingest_outcome(source):
+    """The edges, or the DataError message, with any warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return ingest_interactions(source)[0]
+        except DataError as exc:
+            return str(exc)
+
+
+# (log, whether np.loadtxt's array is kept, the line a DataError names or None)
+INGEST_CASES = {
+    "crlf": (b"1\t2\t3\r\n4\t5\t6\r\n", True, None),
+    "no-final-newline": (b"1\t2\t3\n4\t5\t6", True, None),
+    "plus-sign": (b"+1\t2\t3\n", True, None),
+    "leading-space": (b" 2\t2\t3\n", True, None),
+    "minus-zero": (b"-0\t2\t3\n", True, None),
+    "int64-max": (f"{2**63 - 1}\t2\t3\n".encode(), True, None),
+    "empty": (b"", False, None),
+    "blank-lines-only": (b"\n\r\n \t\n", False, None),
+    "whitespace-line": (b"1\t2\t3\n  \n4\t5\t6\n", False, None),
+    "underscore": (b"1_0\t2\t3\n", False, None),
+    "full-width-digit": ("\uff11\t2\t3\n".encode(), False, None),
+    "bare-cr": (b"1\t2\t3\r4\t5\t6\n", False, 1),
+    "trailing-tab": (b"1\t2\t3\t\n", False, 1),
+    "four-columns": (b"1\t2\t3\t4\n", False, 1),
+    "negative": (b"1\t2\t3\n1\t2\t-3\n", False, 2),
+    "int64-overflow": (f"1\t{2**63}\t3\n".encode(), False, 1),
+    "not-utf8": (b"1\t2\t3\n4\t5\t6\xff\n", False, 2),
+    "latin1-nbsp": (b"1\t2\t3\xa0\n", False, 1),  # whitespace to loadtxt
+    "file-separator": (b"1\t2\t3\x1c\n", False, 1),  # whitespace to loadtxt
+}
+
+
+@pytest.fixture
+def loadtxt_arrays(monkeypatch):
+    """Every array np.loadtxt returns during the test."""
+    arrays, loadtxt = [], np.loadtxt
+
+    def recording_loadtxt(*args, **kwargs):
+        arrays.append(loadtxt(*args, **kwargs))
+        return arrays[-1]
+
+    monkeypatch.setattr(np, "loadtxt", recording_loadtxt)
+    return arrays
+
+
+@pytest.mark.parametrize("name", list(INGEST_CASES))
+def test_ingest_matches_the_line_loop(name, loadtxt_arrays):
+    log, kept, bad_line = INGEST_CASES[name]
+    got = _ingest_outcome(io.BytesIO(log))
+    assert any(got is a for a in loadtxt_arrays) == kept
+    # a list of lines is not a seekable handle, so only the line loop reads it
+    expected = _ingest_outcome(list(io.BytesIO(log)))
+    if bad_line is None:
+        assert isinstance(got, np.ndarray) and got.dtype == np.int64 and got.shape[1] == 3
+        np.testing.assert_array_equal(got, expected)
+    else:
+        assert got == expected and f"line {bad_line}:" in got
+
+
+def test_ingest_reads_a_handle_from_its_position(loadtxt_arrays):
+    # loadtxt's array is kept for the first body; a whitespace line sends the second to the loop
+    for body, kept in ((b"1\t2\t3\n", True), (b"1\t2\t3\n \n", False)):
+        handle = io.BytesIO(b"user\titem\tts\n" + body)
+        handle.readline()
+        edges, _ = ingest_interactions(handle)
+        assert edges.tolist() == [[1, 2, 3]]
+        assert any(edges is a for a in loadtxt_arrays) == kept
+
+
+valid_rows = st.lists(
+    st.tuples(*[st.integers(0, 2**63 - 1)] * 3, st.sampled_from(["", "+", " "])), max_size=30
+)
+
+
+@given(valid_rows, st.sampled_from([b"\n", b"\r\n"]), st.booleans(), st.booleans())
+def test_load_interactions_matches_the_line_loop_on_valid_logs(rows, end, blank, last_end):
+    lines = [f"{sign}{u}\t{i}\t{sign}{t}".encode() for u, i, t, sign in rows]
+    if blank and lines:
+        lines.insert(len(lines) // 2, b"")
+    data = end.join(lines) + (end if last_end else b"")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "log.tsv")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            edges, vocab = load_interactions(path)
+    expected = edge_array([(u, i, t) for u, i, t, _ in rows])
+    np.testing.assert_array_equal(edges, expected)
+    np.testing.assert_array_equal(edges, ingest_interactions(list(io.BytesIO(data)))[0])
+    assert vocab.n_users == len({u for u, _, _, _ in rows})
 
 
 def test_load_interactions_round_trips_a_file(tmp_path):
@@ -81,15 +184,15 @@ def test_load_interactions_round_trips_a_file(tmp_path):
 def test_vocabulary_encode_maps_into_global_id_space():
     log = edge_array([(10, 100, 1), (20, 200, 2)])
     vocab = Vocabulary.from_edges(log)
-    encoded = vocab.encode(log)
+    encoded = encode(vocab, log)
     assert encoded[:, 0].tolist() == [0, 1]
     assert encoded[:, 1].tolist() == [2, 3]  # items offset by n_users
     assert encoded[:, 2].tolist() == [1, 2]
     # ids outside the vocabulary are refused, not mapped to a neighbour
     with pytest.raises(ValueError, match="vocabulary"):
-        vocab.encode(edge_array([(15, 100, 1)]))
+        encode(vocab, edge_array([(15, 100, 1)]))
     with pytest.raises(ValueError, match="vocabulary"):
-        vocab.encode(edge_array([(10, 300, 1)]))
+        encode(vocab, edge_array([(10, 300, 1)]))
 
 
 # -- graph construction ----------------------------------------------------
@@ -140,7 +243,7 @@ def test_build_graph_empty_edge_list():
 @given(interaction_arrays)
 def test_graph_invariants(raw):
     vocab = Vocabulary.from_edges(raw)
-    g = build_graph(vocab.encode(raw), vocab.n_users, vocab.n_items)
+    g = build_graph(encode(vocab, raw), vocab.n_users, vocab.n_items)
     # one edge per distinct (user, item) pair
     assert g.n_edges == len({(u, i) for u, i, _ in raw.tolist()})
     # the indptr is monotone and bounds the edge array
@@ -160,9 +263,9 @@ def test_graph_invariants(raw):
 @given(interaction_arrays)
 def test_graph_keeps_latest_timestamp_per_pair(raw):
     vocab = Vocabulary.from_edges(raw)
-    g = build_graph(vocab.encode(raw), vocab.n_users, vocab.n_items)
+    g = build_graph(encode(vocab, raw), vocab.n_users, vocab.n_items)
     latest: dict[tuple[int, int], int] = {}
-    for user, item, ts in vocab.encode(raw).tolist():
+    for user, item, ts in encode(vocab, raw).tolist():
         key = (user, item)
         latest[key] = max(latest.get(key, -1), ts)
     got = {
@@ -307,6 +410,15 @@ def test_segment_snapshots_partition(stamps, span, gran):
             segment_snapshots(log, span, gran)
         return
     series = segment_snapshots(log, span, gran)
+    # the vocabulary is the log's sorted ids, and snapshots hold encoded rows
+    assert np.array_equal(series.vocab.users, np.unique(log[:, 0]))
+    assert np.array_equal(series.vocab.items, np.unique(log[:, 1]))
+    early = encode(series.vocab, log[log[:, 2] < series.pretrain_end])
+    expected = build_graph(early, series.n_users, series.n_items).edges()
+    assert np.array_equal(series.pretrain.edges(), expected)
+    rest = log[log[:, 2] >= series.pretrain_end]
+    rest = rest[np.argsort((rest[:, 2] - series.pretrain_end) // gran, kind="stable")]
+    assert np.array_equal(np.concatenate(series.snapshots), encode(series.vocab, rest))
     # every edge lands in exactly one piece
     total = series.pretrain.n_edges + sum(len(s) for s in series.snapshots)
     distinct = len({(u, i) for u, i, _ in series.pretrain.edges().tolist()})
