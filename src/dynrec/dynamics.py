@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import RunConfig
-from .data import SnapshotSeries, build_graph
+from .data import DataError, SnapshotSeries, build_graph
 from .evaluation import MetricsReport, evaluate_users, pair_keys
 from .prompt import GateParams, apply_gate, build_prompt_graph, finetune
 from .propagation import build_weights, forward
@@ -113,7 +113,7 @@ def _ensure_pretrained(
     if pretrained is not None:
         expected = (series.vocab.n_nodes, cfg.d)
         if pretrained.shape != expected:
-            raise ValueError(
+            raise DataError(
                 f"pretrained table has shape {pretrained.shape}, expected {expected}"
             )
         return pretrained, []

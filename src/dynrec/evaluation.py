@@ -13,9 +13,10 @@ user ids.
 
 Ranking is exact and blocked: one matrix product scores a block of users
 against every item, seen cells become -inf, and each row's top K is a
-partition at its K-th score plus one lexsort of the cells reaching it, so
-ties at the cut still go to the smaller id. A block holds at most
-`BLOCK_BYTES` of scores, so memory is bounded by a constant, not users x items.
+partition at its K-th score plus one row-wise stable sort of the cells
+reaching it, padded to the widest row, so ties at the cut go to the smaller
+id. A block's memory is a small multiple of `BLOCK_BYTES`, not users x items.
+nDCG is evaluated once per distinct (hit row, ideal hit count) of a call.
 """
 
 from __future__ import annotations
@@ -77,17 +78,19 @@ def rank_items(
     scores[_cells(seen, users, n_items)] = -np.inf
 
     top_k = min(k, n_items)
-    ranked = np.full((users.size, top_k), -1, dtype=np.int64)
     # cells above a row's k-th score are in its top k; cells equal to it
-    # compete on id, so every cell reaching it goes through the exact sort
+    # compete on id, so every cell reaching it, but no -inf one, is sorted
     kth = np.partition(scores, n_items - top_k, axis=1)[:, n_items - top_k]
-    rows, cols = np.nonzero((scores >= kth[:, None]) & (scores > -np.inf))
-    order = np.lexsort((cols, -scores[rows, cols], rows))
-    rows, cols = rows[order], cols[order]
-    rank = np.arange(rows.size) - np.searchsorted(rows, rows)
-    top = rank < top_k
-    ranked[rows[top], rank[top]] = cols[top]
-    return ranked
+    floor = np.maximum(kth, np.finfo(scores.dtype).min)[:, None]
+    rows, cols = np.divmod(np.flatnonzero(scores >= floor), n_items)
+    # each row's cells go left-aligned in item order, padded with +inf and
+    # item -1, so a stable sort of -score keeps ties by id and padding last
+    slot = np.arange(rows.size) - np.searchsorted(rows, rows)
+    shape = (users.size, max(top_k, slot.max(initial=-1) + 1))
+    neg, item = np.full(shape, np.inf), np.full(shape, -1, dtype=np.int64)
+    neg[rows, slot], item[rows, slot] = -scores[rows, cols], cols
+    order = np.argsort(neg, axis=1, kind="stable")[:, :top_k]
+    return np.take_along_axis(item, order, axis=1)
 
 
 def _ndcg(hit: np.ndarray, ideal_n: int) -> float:
@@ -148,19 +151,20 @@ def evaluate_users(
     first = np.flatnonzero(np.diff(owner, prepend=-1))
     users, n_relevant = owner[first], np.diff(first, append=owner.size)
     step = max(1, BLOCK_BYTES // (x.itemsize * max(n_items, 1)))
-    recalls, ndcgs = [np.empty(0)], [np.empty(0)]
+    hits = [np.zeros((0, min(k, n_items)), dtype=bool)]
     for lo in range(0, users.size, step):
-        block, n_rel = users[lo : lo + step], n_relevant[lo : lo + step]
+        block = users[lo : lo + step]
         ranked = rank_items(x, n_users, block, seen, k, candidates, relevant)
         # one spare column that is never relevant absorbs the -1 padding
         is_relevant = np.zeros((block.size, n_items + 1), dtype=bool)
         is_relevant[_cells(relevant, block, n_items)] = True
-        hit = is_relevant[np.arange(block.size)[:, None], ranked]
-        recalls.append(hit.sum(axis=1) / n_rel)
-        # nDCG depends only on the hit pattern and min(|relevant|, k): evaluate
-        # the scalar formula once per distinct pair so every value matches it
-        patterns, inverse = np.unique(
-            np.column_stack([hit, np.minimum(n_rel, k)]), axis=0, return_inverse=True
-        )
-        ndcgs.append(np.array([_ndcg(p[:-1], p[-1]) for p in patterns])[inverse.reshape(-1)])
-    return MetricsReport(k, users, np.concatenate(recalls), np.concatenate(ndcgs))
+        hits.append(is_relevant[np.arange(block.size)[:, None], ranked])
+    hit, ideal = np.concatenate(hits), np.minimum(n_relevant, k)
+    # nDCG depends only on the hit row and min(|relevant|, k): evaluate the
+    # scalar formula once per distinct pair, found through one bytes key each
+    key = np.hstack([np.packbits(hit, axis=1), ideal[:, None].view(np.uint8)])
+    _, first, inverse = np.unique(
+        key.view(f"V{key.shape[1]}").ravel(), return_index=True, return_inverse=True
+    )
+    ndcgs = np.array([_ndcg(hit[i], ideal[i]) for i in first])[inverse]
+    return MetricsReport(k, users, hit.sum(axis=1) / n_relevant, ndcgs)

@@ -10,17 +10,18 @@ so a node's most recent interactions carry the largest share of its
 incoming mass. With temporal weighting disabled the weight falls back to
 the plain symmetric-normalized 1 / sqrt(deg_dst * deg_src).
 
-`build_weights` assembles these weights into one sparse operator and its
-transpose; `temporal_softmax` computes the alpha shares it uses. Propagation
-itself is linear: `forward` applies the operator once per layer and averages
-layers 0..L. Because the map from initial embeddings to final ones is linear,
-its adjoint `forward_backward` (needed for gradient computation) is the same
-accumulation run with the transposed operator.
+`build_weights` assembles these weights into one sparse operator, whose
+transpose is built on first use; `temporal_softmax` computes the alpha
+shares. Propagation is linear: `forward` applies the operator once per
+layer and averages layers 0..L. Because the map from initial embeddings to
+final ones is linear, its adjoint `forward_backward` (needed for gradient
+computation) is the same accumulation run with the transposed operator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -69,7 +70,7 @@ def temporal_softmax(graph: InteractionGraph, tau: float) -> tuple[np.ndarray, n
 
 @dataclass(frozen=True)
 class PropagationWeights:
-    """The sparse one-step propagation operator and its transpose.
+    """The sparse one-step propagation operator and its transpose, built on first use.
 
     `matrix` maps node values to node values: row = destination, column =
     source. `isolated` marks nodes with no edges; the forward pass keeps
@@ -77,8 +78,11 @@ class PropagationWeights:
     """
 
     matrix: sp.csr_matrix  # (N, N) one propagation step
-    matrix_t: sp.csr_matrix  # transpose, for the adjoint pass
     isolated: np.ndarray  # (N,) bool
+
+    @cached_property
+    def matrix_t(self) -> sp.csr_matrix:  # for the adjoint pass
+        return self.matrix.T.tocsr()
 
 
 def build_weights(
@@ -106,7 +110,7 @@ def build_weights(
     cols = np.concatenate([graph.edge_item, graph.edge_user])
     vals = np.concatenate([w_into_user, w_into_item])
     matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    return PropagationWeights(matrix=matrix, matrix_t=matrix.T.tocsr(), isolated=deg == 0)
+    return PropagationWeights(matrix=matrix, isolated=deg == 0)
 
 
 def forward(

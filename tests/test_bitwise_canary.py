@@ -1,11 +1,12 @@
-"""Bitwise canary: pre-training and gate tuning on a fixed small log.
+"""Bitwise canaries: pre-training, gate tuning and evaluation on fixed inputs.
 
-Tier-1 otherwise compares runs of the same code with each other, so a
-change that moves the numeric path of `pretrain` or `finetune` by one ulp
-would pass it. Here the resulting tables, gate and epoch losses are hashed
-and compared with digests recorded from an earlier version of the training
-step. The digests assume IEEE-754 doubles and the BLAS this suite runs on;
-a different BLAS kernel may round its matrix products differently.
+Tier-1 otherwise compares runs of the same code with each other, or with
+oracles that round differently, so a change that moves the numeric path of
+`pretrain`, `finetune` or `evaluate_users` by one ulp would pass it. Here
+the resulting tables, gate, epoch losses and per-user metrics are hashed and
+compared with digests recorded from an earlier version of each step. The
+digests assume IEEE-754 doubles and the BLAS this suite runs on; a different
+BLAS kernel may round its matrix products differently.
 """
 from __future__ import annotations
 
@@ -13,7 +14,9 @@ import hashlib
 
 import numpy as np
 
+import dynrec.evaluation as evaluation
 from dynrec.data import build_graph, segment_snapshots
+from dynrec.evaluation import evaluate_users, pair_keys
 from dynrec.prompt import finetune
 from dynrec.rng import seed_stream
 from dynrec.synthetic import drift_series
@@ -66,3 +69,53 @@ def test_pretrain_and_finetune_outputs_match_recorded_digests():
         "finetune.losses": _digest([r["loss"] for r in tuned.log]),
     }
     assert got == EXPECTED
+
+
+EXPECTED_EVALUATION = {
+    "full.users": "5bee9da9611be64244af3c633ba1a6f11fb338d711e6c610d75de66487ea3699",
+    "full.recalls": "44006ff5d76b13a45d944f83e2f14770c4c401abdc8ec9f2ff78431131adf927",
+    "full.ndcgs": "72ad12e0573c59ad4e5eee8c0b550da10e83aafcf561c34d5d3d93340cb60222",
+    "sampled.users": "5bee9da9611be64244af3c633ba1a6f11fb338d711e6c610d75de66487ea3699",
+    "sampled.recalls": "3b71996271dd99da5f431405184885853ef3c1deb7bac2dd9cb37ac40d60c5a8",
+    "sampled.ndcgs": "569ab4886d3ec6febabcbf597bc708b7cbb560471af786af7ac5edd811bc002d",
+}
+
+
+def _evaluation_case():
+    """Embeddings, relevant keys, sorted seen keys and candidates of a seeded case.
+
+    Small integer embeddings make exact score ties common. Item 7 scores NaN
+    for every user. User 0 scores 0 on every item and has seen item 7, so its
+    whole row ties; user 1 has seen all but 5 items, fewer than k.
+    """
+    rng = np.random.default_rng(0)
+    n_users, n_items = 40, 30
+    x = rng.integers(-2, 3, size=(n_users + n_items, 3)).astype(np.float64)
+    x[0] = 0.0
+    x[n_users + 7] = np.nan
+    seen = rng.random((n_users, n_items)) < 0.3
+    seen[0, 7] = True
+    seen[1] = True
+    seen[1, [2, 7, 11, 19, 23]] = False
+    relevant = rng.random((n_users, n_items)) < 0.15
+    relevant[1, [7, 19]] = True
+
+    def keys(mask):
+        user, item = np.nonzero(mask)
+        edges = np.column_stack([user, n_users + item])
+        return pair_keys(edges, n_users, n_items)
+
+    candidates = np.sort(rng.choice(n_items, size=12, replace=False))
+    return x, n_users, n_items, rng.permutation(keys(relevant)), keys(seen), candidates
+
+
+def test_evaluate_users_outputs_match_recorded_digests(monkeypatch):
+    x, n_users, n_items, relevant, seen, candidates = _evaluation_case()
+    monkeypatch.setattr(evaluation, "BLOCK_BYTES", 3 * n_items * x.itemsize)  # three users a block
+    got = {}
+    for name, pool in (("full", None), ("sampled", candidates)):
+        report = evaluate_users(x, n_users, relevant, seen, 8, pool)
+        got[f"{name}.users"] = _digest(report.users)
+        got[f"{name}.recalls"] = _digest(report.recalls)
+        got[f"{name}.ndcgs"] = _digest(report.ndcgs)
+    assert got == EXPECTED_EVALUATION

@@ -325,6 +325,18 @@ def test_evaluate_frozen_baseline(cli_data, pretrain_run, tmp_path):
     assert all(rec["epochs"] == 0 for rec in metrics["records"])
 
 
+def test_evaluate_exits_1_on_a_checkpoint_for_another_vocabulary(cli_data, pretrain_run, tmp_path, caplog):
+    # the same log without its last user: the checkpoint has one row too many
+    edges = np.loadtxt(cli_data, dtype=np.int64, ndmin=2)
+    data = tmp_path / "one-user-fewer.tsv"
+    write_tsv(str(data), edges[edges[:, 0] != edges[:, 0].max()])
+    out = tmp_path / "frozen"
+    assert main(["evaluate", "--data", str(data), "--out", str(out), "--quiet",
+                 "--pretrained", pretrain_run, *CLI_SETTINGS]) == 1
+    assert "invalid input: pretrained table has shape" in caplog.text
+    assert not out.exists()
+
+
 def test_report_prints_metric_table(cli_data, pretrain_run, tmp_path, capsys):
     run = str(tmp_path / "run")
     assert main(["run-dynamic", "--data", cli_data, "--out", run, "--quiet",

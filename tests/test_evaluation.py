@@ -79,6 +79,29 @@ def test_rank_items_everything_masked():
     assert rank_items(x, 1, USER_0, np.array([0]), 3).tolist() == [[-1]]
 
 
+def test_rank_items_block_mixes_a_whole_row_tie_with_padded_rows():
+    # user 0 scores 0 on all 24 items, so its row ties throughout and is cut
+    # at k by id; user 1 has three rankable items and user 2 none, so both
+    # rows end in -1 padding
+    n_items = 24
+    items = np.column_stack([np.arange(n_items) % 5, np.ones(n_items)])
+    x = np.vstack([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], items])
+    seen = {0: [3], 1: sorted(set(range(n_items)) - {4, 9, 17}), 2: range(n_items)}
+    ranked = rank_items(x, 3, np.arange(3), np.sort(_keys(seen, 3, n_items)), 20)
+    assert ranked[0].tolist() == [0, 1, 2, *range(4, 21)]
+    # items 4 and 9 tie at 4 and go by id; item 17 scores 2
+    assert ranked[1].tolist() == [4, 9, 17] + [-1] * 17
+    assert ranked[2].tolist() == [-1] * 20
+
+
+def test_rank_items_cuts_a_tie_wider_than_k_by_id():
+    # item 0 is above the 3rd score; items 1, 3, 4 and 6 tie at it, so four
+    # cells compete for the last two places
+    x = _scores_to_table([1.0, 0.0], [9.0, 7.0, 8.0, 7.0, 7.0, 1.0, 7.0])
+    assert rank_items(x, 1, USER_0, NO_KEYS, 3).tolist() == [[0, 2, 1]]
+    assert rank_items(x, 1, USER_0, NO_KEYS, 5).tolist() == [[0, 2, 1, 3, 4]]
+
+
 # item scores for the hand cases: ranks 1..10 are items 1, 2, 3, 4, 5, 6, 7, 8, 9, 0
 SCORES = [0.0, 9.0, 8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0]
 
