@@ -172,8 +172,6 @@ def write_summary_csv(path: str, records: list[dict]) -> None:
 
 def write_user_metrics_csv(path: str, report) -> None:
     """One row per evaluated user: id, recall, normalized DCG."""
+    rows = zip(report.users.tolist(), report.recalls.tolist(), report.ndcgs.tolist())
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["user", "recall", "ndcg"])
-        for user, recall, ndcg in zip(report.users, report.recalls, report.ndcgs):
-            writer.writerow([user, repr(float(recall)), repr(float(ndcg))])
+        fh.write("user,recall,ndcg\n" + "".join(f"{u},{r!r},{g!r}\n" for u, r, g in rows))

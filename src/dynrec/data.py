@@ -7,8 +7,9 @@ are remapped onto one global id space (users first, then items), one sort
 per id column, so a single embedding table serves both. The log is split
 into a pre-training graph plus a sequence of fixed-width time-slot
 snapshots, and each edge set can be built into an immutable user-grouped
-CSR graph that keeps each edge's raw timestamp. Turning timestamps into
-edge weights is `propagation`'s job.
+CSR graph that keeps each edge's raw timestamp, ordered by sorted (user,
+item) keys into which new edges merge without sorting the graph again.
+Turning timestamps into edge weights is `propagation`'s job.
 
 Every edge set outside a graph, from ingest to evaluation, is an (E, 3)
 int64 array of (user, item, ts_unix) rows.
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from functools import cached_property
 from typing import IO, Iterable
 
 import numpy as np
@@ -146,9 +146,9 @@ def load_interactions(path: str) -> tuple[np.ndarray, Vocabulary]:
 class InteractionGraph:
     """Immutable sparse user-item graph with per-edge timestamps.
 
-    Edges are stored once, in canonical order (sorted by user then item), with
-    a CSR row pointer grouping them by user. `edge_item` holds global ids
-    (already offset by `n_users`).
+    Edges are stored once, in canonical order (ascending `keys`, their
+    `pair_keys`, so by user then item), with a CSR row pointer grouping them
+    by user. `edge_item` holds global ids (already offset by `n_users`).
     """
 
     n_users: int
@@ -157,6 +157,7 @@ class InteractionGraph:
     edge_item: np.ndarray  # (E,) global item id per canonical edge
     edge_ts: np.ndarray  # (E,) unix timestamp
     ui_indptr: np.ndarray  # (n_users+1,) canonical edges grouped by user
+    keys: np.ndarray  # (E,) ascending pair_keys of the canonical edges
 
     @property
     def n_nodes(self) -> int:
@@ -179,21 +180,19 @@ class InteractionGraph:
     def node_degrees(self) -> np.ndarray:
         return np.concatenate([self.user_degrees(), self.item_degrees()])
 
-    @cached_property
-    def keys(self) -> np.ndarray:
-        """The canonical edges' `pair_keys`, ascending; computed once."""
-        return pair_keys(self.edges(), self.n_users, self.n_items)
-
     def edges(self) -> np.ndarray:
         """The canonical edges as an (E, 3) array of (user, item, ts) rows."""
         return np.stack([self.edge_user, self.edge_item, self.edge_ts], axis=1)
 
 
-def build_graph(edges: np.ndarray, n_users: int, n_items: int) -> InteractionGraph:
-    """Build the CSR graph for an (E, 3) edge array in global id space.
+def build_graph(
+    edges: np.ndarray, n_users: int, n_items: int, base: InteractionGraph | None = None
+) -> InteractionGraph:
+    """Build the CSR graph of an (E, 3) edge array in global id space, plus `base`'s edges.
 
     Duplicate (user, item) pairs collapse into one edge keeping the latest
-    timestamp. An empty edge array yields a valid graph with zero edges.
+    timestamp. Only `edges` is sorted: it is merged into the sorted keys of
+    `base`, a graph of the same id space, or of no edges if it is None.
     """
     user, item, ts = edges.T
     if user.size:
@@ -201,25 +200,23 @@ def build_graph(edges: np.ndarray, n_users: int, n_items: int) -> InteractionGra
             raise ValueError("user id outside [0, n_users)")
         if item.min() < n_users or item.max() >= n_users + n_items:
             raise ValueError("item id outside [n_users, n_users + n_items)")
-        # sort by (user, item, ts); the last row of each (user, item) group
-        # carries the latest timestamp
-        order = np.lexsort((ts, item, user))
-        user, item, ts = user[order], item[order], ts[order]
-        keep = np.ones(user.size, dtype=bool)
-        same = (user[1:] == user[:-1]) & (item[1:] == item[:-1])
-        keep[:-1][same] = False
-        user, item, ts = user[keep], item[keep], ts[keep]
+    key = pair_keys(edges, n_users, n_items)
+    # each key once, with the latest of its timestamps
+    order = np.argsort(key, kind="stable")
+    key, ts = key[order], ts[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    key, ts = key[first], np.maximum.reduceat(ts, first)
 
-    ui_counts = np.bincount(user, minlength=n_users) if user.size else np.zeros(n_users, dtype=np.int64)
-    ui_indptr = np.concatenate([[0], np.cumsum(ui_counts)]).astype(np.int64)
-    return InteractionGraph(
-        n_users=n_users,
-        n_items=n_items,
-        edge_user=user,
-        edge_item=item,
-        edge_ts=ts,
-        ui_indptr=ui_indptr,
-    )
+    keys, edge_ts = (key[:0], ts[:0]) if base is None else (base.keys, base.edge_ts)
+    at = np.searchsorted(keys, key)
+    shared = np.append(keys, -1)[at] == key  # the -1 past the end is no key
+    edge_ts = edge_ts.copy()
+    edge_ts[at[shared]] = np.maximum(edge_ts[at[shared]], ts[shared])
+    at, key, ts = at[~shared], key[~shared], ts[~shared]
+    keys, edge_ts = np.insert(keys, at, key), np.insert(edge_ts, at, ts)
+    user, item = np.divmod(keys, n_items)
+    ui_indptr = np.concatenate([[0], np.cumsum(np.bincount(user, minlength=n_users))])
+    return InteractionGraph(n_users, n_items, user, item + n_users, edge_ts, ui_indptr, keys)
 
 
 @dataclass(frozen=True)

@@ -79,16 +79,21 @@ def rank_items(
 
     top_k = min(k, n_items)
     # cells above a row's k-th score are in its top k; cells equal to it
-    # compete on id, so every cell reaching it, but no -inf one, is sorted
-    kth = np.partition(scores, n_items - top_k, axis=1)[:, n_items - top_k]
-    floor = np.maximum(kth, np.finfo(scores.dtype).min)[:, None]
-    rows, cols = np.divmod(np.flatnonzero(scores >= floor), n_items)
+    # compete on id, so every cell reaching it, but no -inf one, is sorted;
+    # each block-sized array is freed once used (kth copied off the partition)
+    kth = np.partition(scores, n_items - top_k, axis=1)[:, n_items - top_k].copy()
+    flat = np.flatnonzero(scores >= np.maximum(kth, np.finfo(scores.dtype).min)[:, None])
+    cells = scores.ravel()[flat]
+    del scores
+    rows, cols = np.divmod(flat, n_items)
+    del flat
     # each row's cells go left-aligned in item order, padded with +inf and
     # item -1, so a stable sort of -score keeps ties by id and padding last
     slot = np.arange(rows.size) - np.searchsorted(rows, rows)
     shape = (users.size, max(top_k, slot.max(initial=-1) + 1))
     neg, item = np.full(shape, np.inf), np.full(shape, -1, dtype=np.int64)
-    neg[rows, slot], item[rows, slot] = -scores[rows, cols], cols
+    neg[rows, slot], item[rows, slot] = np.negative(cells, out=cells), cols
+    del rows, cols, slot, cells
     order = np.argsort(neg, axis=1, kind="stable")[:, :top_k]
     return np.take_along_axis(item, order, axis=1)
 

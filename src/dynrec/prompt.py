@@ -88,14 +88,14 @@ def build_prompt_graph(
     phi: float,
     rng: np.random.Generator,
 ) -> InteractionGraph:
-    """Merge pre-training edges with retention-subsampled snapshot edges.
+    """Add retention-subsampled snapshot edges to the pre-training graph.
 
     Each snapshot keeps round(retention * |edges|) rows, drawn without
-    replacement by position in the snapshot; the union (pre-training edges
-    included, duplicates keeping the latest timestamp) is rebuilt into one
-    graph.
+    replacement by position in the snapshot. Only the kept rows are sorted:
+    `build_graph` merges them into the pre-training graph's sorted keys, a
+    pair in both keeping the latest timestamp.
     """
-    parts = [pretrain_graph.edges()]
+    parts = [np.zeros((0, 3), dtype=np.int64)]
     ret = snapshot_retention(len(snapshots), phi)
     for frac, snap in zip(ret, snapshots):
         n_edges = len(snap)
@@ -107,7 +107,7 @@ def build_prompt_graph(
             continue
         parts.append(snap[rng.choice(n_edges, size=n_keep, replace=False)])
     return build_graph(
-        np.concatenate(parts), pretrain_graph.n_users, pretrain_graph.n_items
+        np.concatenate(parts), pretrain_graph.n_users, pretrain_graph.n_items, base=pretrain_graph
     )
 
 

@@ -1,9 +1,9 @@
-"""Bitwise canaries: pre-training, gate tuning and evaluation on fixed inputs.
+"""Bitwise canaries: pre-training, gate tuning, evaluation and the dynamic run.
 
 Tier-1 otherwise compares runs of the same code with each other, or with
 oracles that round differently, so a change that moves the numeric path of
-`pretrain`, `finetune` or `evaluate_users` by one ulp would pass it. Here
-the resulting tables, gate, epoch losses and per-user metrics are hashed and
+`pretrain`, `finetune`, `evaluate_users` or `run_dynamic` by one ulp would
+pass it. Here the resulting tables, gate, epoch losses and metrics are hashed and
 compared with digests recorded from an earlier version of each step. The
 digests assume IEEE-754 doubles and the BLAS this suite runs on; a different
 BLAS kernel may round its matrix products differently.
@@ -15,7 +15,9 @@ import hashlib
 import numpy as np
 
 import dynrec.evaluation as evaluation
+from dynrec.config import RunConfig
 from dynrec.data import build_graph, segment_snapshots
+from dynrec.dynamics import run_dynamic
 from dynrec.evaluation import evaluate_users, pair_keys
 from dynrec.prompt import finetune
 from dynrec.rng import seed_stream
@@ -119,3 +121,52 @@ def test_evaluate_users_outputs_match_recorded_digests(monkeypatch):
         got[f"{name}.recalls"] = _digest(report.recalls)
         got[f"{name}.ndcgs"] = _digest(report.ndcgs)
     assert got == EXPECTED_EVALUATION
+
+
+EXPECTED_DYNAMIC = {
+    "records.recall": "b120c95ad6d870a5ef1eb09f1a41cf6446452ef7c1c1ad5a47df2241dcaef816",
+    "records.ndcg": "047903793050d63983a41a2aa18646b75326b5cc77aea9528cedfba9fdeaed09",
+    "last.embeddings": "32cde1698c331d25fffb91de8980c6a0053fb16c6753ee02d63f53f2b84f1357",
+}
+
+
+def test_run_dynamic_outputs_match_recorded_digests():
+    """Seven cycles over six-hour snapshots, two of them empty.
+
+    With phi = 0.3 the prompt graph keeps the oldest snapshot whole and the
+    next three at 70%, 40% and 10%, and several snapshots repeat
+    pre-training pairs, so the condensed-history graph both adds and
+    refreshes edges. The last cycle's training snapshot is empty: its table
+    is the prompt pass's output.
+    """
+    log = drift_series(
+        n_blocks=4,
+        users_per_block=4,
+        items_per_block=4,
+        pretrain_days=2,
+        snapshot_days=2,
+        stale_per_day=2,
+        lead_per_day=1,
+        seed=0,
+    )
+    series = segment_snapshots(log, 48 * 3600, 6 * 3600)
+    sizes = [len(s) for s in series.snapshots]
+    assert len(sizes) >= 5 and 0 in sizes[:-1]
+    repeats = [
+        np.isin(pair_keys(s, series.n_users, series.n_items), series.pretrain.keys).any()
+        for s in series.snapshots
+    ]
+    assert any(repeats)
+    cfg = RunConfig(
+        d=8, layers=2, tau_hours=6.0, learning_rate=5e-3, batch_size=16, max_epochs=2,
+        patience=2, finetune_epochs=2, pretrain_span_hours=48.0, granularity_hours=6.0,
+        k=5, phi=0.3, val_fraction=0.0,
+    )
+    result = run_dynamic(series, cfg)
+    assert result.records[-1]["warning"] is not None
+    got = {
+        "records.recall": _digest([r["recall"] for r in result.records]),
+        "records.ndcg": _digest([r["ndcg"] for r in result.records]),
+        "last.embeddings": _digest(result.cycles[-1].embeddings),
+    }
+    assert got == EXPECTED_DYNAMIC

@@ -1,6 +1,7 @@
 """Ingestion, id remapping, graph construction and snapshot segmentation."""
 from __future__ import annotations
 
+import dataclasses
 import io
 import math
 import os
@@ -9,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import edge_array, encode
@@ -273,6 +274,56 @@ def test_graph_keeps_latest_timestamp_per_pair(raw):
         for u, i, t in zip(g.edge_user, g.edge_item, g.edge_ts)
     }
     assert got == latest
+
+
+def _assert_same_graph(got, expected):
+    """Every field equal, arrays in shape, dtype and value."""
+    for field in dataclasses.fields(expected):
+        a, b = getattr(got, field.name), getattr(expected, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype, field.name
+            np.testing.assert_array_equal(a, b, err_msg=field.name, strict=True)
+        else:
+            assert a == b, field.name
+
+
+graph_rows = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 4)), max_size=25
+)
+
+
+# A pre-training edge at ts 2 meets an older, an equal and a newer repeat;
+# (0, 2) and (1, 0) repeat inside the extra edges, and (1, 0) is new.
+MERGE_CASE = ([(0, 0, 2), (0, 1, 2), (0, 2, 2), (1, 3, 1)],
+              [(0, 0, 1), (0, 1, 2), (0, 2, 3), (0, 2, 0), (1, 0, 4), (1, 0, 4)])
+
+
+@given(st.integers(1, 4), st.integers(1, 4), graph_rows, graph_rows)
+@example(2, 4, *MERGE_CASE)
+@example(2, 4, [], MERGE_CASE[1])
+@example(2, 4, MERGE_CASE[0], [])
+@example(2, 4, [], [])
+def test_build_graph_over_a_base_equals_one_build_of_both_edge_sets(
+    n_users, n_items, base_rows, extra_rows
+):
+    def encoded(rows):
+        return edge_array([(u % n_users, n_users + i % n_items, t) for u, i, t in rows])
+
+    a, extra = encoded(base_rows), encoded(extra_rows)
+    base = build_graph(a, n_users, n_items)
+    merged = build_graph(extra, n_users, n_items, base=base)
+    _assert_same_graph(merged, build_graph(np.concatenate([a, extra]), n_users, n_items))
+    _assert_same_graph(base, build_graph(a, n_users, n_items))  # the base is left as it was
+
+
+@pytest.mark.parametrize(
+    "row, match",
+    [((2, 3, 0), "user id"), ((-1, 3, 0), "user id"), ((0, 1, 0), "item id"), ((0, 6, 0), "item id")],
+)
+def test_build_graph_over_a_base_rejects_out_of_range_ids(row, match):
+    base = build_graph(edge_array([(0, 2, 5), (1, 3, 5)]), 2, 4)
+    with pytest.raises(ValueError, match=match):
+        build_graph(edge_array([(0, 2, 9), row]), 2, 4, base=base)
 
 
 # -- relative timesteps ---------------------------------------------------
