@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import os
 
@@ -77,14 +78,20 @@ def write_checkpoint(
 
     `kind` distinguishes pre-training checkpoints from per-snapshot ones;
     snapshot checkpoints may carry the tuned gate arrays alongside. The
-    sidecar records the SHA-256 digest of every array file.
+    sidecar records the SHA-256 digest of every array file, taken from the
+    bytes as they are written.
     """
     os.makedirs(out_dir, exist_ok=True)
     arrays = {"embeddings.npy": embeddings}
     if gate is not None:
         arrays.update({"gate_w.npy": gate.w, "gate_b.npy": gate.b})
+    digests = {}
     for name, array in arrays.items():
-        np.save(os.path.join(out_dir, name), array)
+        buf = io.BytesIO()
+        np.save(buf, array)
+        with open(os.path.join(out_dir, name), "wb") as fh:
+            fh.write(buf.getbuffer())
+        digests[name] = hashlib.sha256(buf.getbuffer()).hexdigest()
     meta = {
         "kind": kind,
         "d": int(embeddings.shape[1]),
@@ -93,7 +100,7 @@ def write_checkpoint(
         "rows": int(embeddings.shape[0]),
         "optimizer_step": int(optimizer_step),
         "has_gate": gate is not None,
-        "sha256": {name: sha256_file(os.path.join(out_dir, name)) for name in arrays},
+        "sha256": digests,
     }
     if extra:
         meta.update(extra)
@@ -103,17 +110,19 @@ def write_checkpoint(
 def read_checkpoint(ckpt_dir: str) -> tuple[np.ndarray, dict, GateParams | None]:
     """Load a checkpoint directory; verifies array digests and shapes.
 
-    Raises DataError when an array file does not match its recorded digest
-    or the sidecar disagrees with the arrays.
+    Each array file is read once: its digest is checked on those bytes,
+    which are then parsed. Raises DataError when an array file does not
+    match its recorded digest or the sidecar disagrees with the arrays.
     """
     meta = read_json(os.path.join(ckpt_dir, "checkpoint.json"))
     arrays = {}
     names = ["embeddings.npy"] + (["gate_w.npy", "gate_b.npy"] if meta.get("has_gate") else [])
     for name in names:
-        path = os.path.join(ckpt_dir, name)
-        if sha256_file(path) != meta.get("sha256", {}).get(name):
+        with open(os.path.join(ckpt_dir, name), "rb") as fh:
+            data = fh.read()
+        if hashlib.sha256(data).hexdigest() != meta.get("sha256", {}).get(name):
             raise DataError(f"checkpoint mismatch: {name} does not match its SHA-256 digest")
-        arrays[name] = np.load(path)
+        arrays[name] = np.load(io.BytesIO(data))
     embeddings = arrays["embeddings.npy"]
     if embeddings.shape != (meta["rows"], meta["d"]):
         raise DataError(
@@ -143,7 +152,6 @@ _SUMMARY_COLUMNS = [
     "untuned_recall",
     "untuned_ndcg",
     "epochs",
-    "wall_time",
     "warning",
 ]
 

@@ -45,10 +45,8 @@ class RunConfig:
     k: int = 20  # ranking cutoff
     eval_candidates: int = 0  # 0 = rank all items; >0 = sampled candidates
 
-    # reproducibility / runtime
+    # reproducibility
     seed: int = 0
-    deterministic: bool = True  # zero wall-clock fields in reports
-    random_gate_std: float = 0.05  # std of the throwaway gate used before tuning
 
     # ablation switches
     no_temporal: bool = False  # drop time-aware edge weighting
@@ -87,8 +85,6 @@ class RunConfig:
             raise ValueError("k must be >= 1")
         if self.eval_candidates < 0:
             raise ValueError("eval_candidates must be >= 0")
-        if self.random_gate_std < 0:
-            raise ValueError("random_gate_std must be >= 0")
 
     # -- derived quantities ------------------------------------------------
 
@@ -116,20 +112,6 @@ class RunConfig:
             l2_reg=self.l2_reg,
             val_fraction=self.val_fraction,
             eval_k=self.k,
-            seed=self.seed,
-        )
-
-    def finetune_config(self) -> "TrainConfig":
-        """Optimizer settings for per-snapshot gate tuning (fixed epochs)."""
-        from .training import TrainConfig
-
-        return TrainConfig(
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
-            max_epochs=self.finetune_epochs,
-            patience=max(self.finetune_epochs, 1),
-            l2_reg=self.l2_reg,
-            val_fraction=0.0,
             seed=self.seed,
         )
 

@@ -17,7 +17,6 @@ cycle's training snapshot.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -136,7 +135,6 @@ def _evaluate_cycle(
     k: int,
     x: np.ndarray,
     seen: np.ndarray,
-    started: float,
     *,
     gate: GateParams | None = None,
     epochs: int = 0,
@@ -158,7 +156,6 @@ def _evaluate_cycle(
     relevant = pair_keys(series.snapshots[k + 1], n_users, n_items)
     report = evaluate_users(x, n_users, relevant, seen, cfg.k, _candidate_items(cfg, n_items, k))
     tuned = np.isin(report.users, train_snapshot[:, 0])
-    elapsed = 0.0 if cfg.deterministic else time.perf_counter() - started
     record = {
         "cycle": k + 1,
         "train_snapshot": k + 1,
@@ -168,7 +165,6 @@ def _evaluate_cycle(
         "recall": report.mean_recall(),
         "ndcg": report.mean_ndcg(),
         "epochs": epochs,
-        "wall_time": elapsed,
         "warning": warning,
     }
     for name, mask in (("tuned", tuned), ("untuned", ~tuned)):
@@ -205,7 +201,6 @@ def run_dynamic(
     seen = series.pretrain.keys
 
     for k in range(series.n_snapshots - 1):
-        started = time.perf_counter()
         train_snapshot = series.snapshots[k]
         warning = None
 
@@ -225,9 +220,7 @@ def run_dynamic(
             )
             # a throwaway random gate, then one pass over the condensed history
             gate_rng = seed_stream(cfg.seed, "gate", k)
-            x_g = apply_gate(
-                x_init, GateParams.random(x_init.shape[1], gate_rng, cfg.random_gate_std)
-            )
+            x_g = apply_gate(x_init, GateParams.random(x_init.shape[1], gate_rng))
             # neither the graph nor its operator outlives this pass into fine-tuning
             x_n0 = forward(
                 build_weights(prompt_graph, cfg.tau_seconds, no_temporal=cfg.no_temporal),
@@ -248,15 +241,7 @@ def run_dynamic(
                 weights_n = build_weights(graph_n, cfg.tau_seconds, no_temporal=cfg.no_temporal)
                 x_n = forward(weights_n, x_n0, cfg.layers)
             else:
-                tuned_result = finetune(
-                    graph_n,
-                    x_n0,
-                    cfg.finetune_config(),
-                    cfg.layers,
-                    cfg.tau_seconds,
-                    seed_stream(cfg.seed, "finetune", k),
-                    no_temporal=cfg.no_temporal,
-                )
+                tuned_result = finetune(graph_n, x_n0, cfg, seed_stream(cfg.seed, "finetune", k))
                 x_n = tuned_result.embeddings
                 gate = tuned_result.gate
                 epochs_run = len(tuned_result.log)
@@ -269,7 +254,6 @@ def run_dynamic(
             k,
             x_n,
             seen,
-            started,
             gate=gate,
             epochs=epochs_run,
             optimizer_steps=opt_steps,
@@ -298,5 +282,5 @@ def run_frozen(
 
     seen = series.pretrain.keys
     for k in range(series.n_snapshots - 1):
-        seen = _evaluate_cycle(result, series, cfg, k, z_p, seen, time.perf_counter())
+        seen = _evaluate_cycle(result, series, cfg, k, z_p, seen)
     return result

@@ -110,7 +110,6 @@ def _ndcg(hit: np.ndarray, ideal_n: int) -> float:
 class MetricsReport:
     """Per-user metric table: ascending user ids with their recall and nDCG."""
 
-    k: int
     users: np.ndarray
     recalls: np.ndarray
     ndcgs: np.ndarray
@@ -127,7 +126,7 @@ class MetricsReport:
 
     def subset(self, mask: np.ndarray) -> "MetricsReport":
         """The rows where the boolean `mask` over `users` is true."""
-        return MetricsReport(self.k, self.users[mask], self.recalls[mask], self.ndcgs[mask])
+        return MetricsReport(self.users[mask], self.recalls[mask], self.ndcgs[mask])
 
 
 def evaluate_users(
@@ -172,4 +171,4 @@ def evaluate_users(
         key.view(f"V{key.shape[1]}").ravel(), return_index=True, return_inverse=True
     )
     ndcgs = np.array([_ndcg(hit[i], ideal[i]) for i in first])[inverse]
-    return MetricsReport(k, users, hit.sum(axis=1) / n_relevant, ndcgs)
+    return MetricsReport(users, hit.sum(axis=1) / n_relevant, ndcgs)

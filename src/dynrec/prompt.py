@@ -23,9 +23,10 @@ from typing import Sequence
 import numpy as np
 from scipy.special import expit
 
+from .config import RunConfig
 from .data import InteractionGraph, build_graph
 from .propagation import build_weights, forward, forward_backward
-from .training import Adam, TrainConfig, bpr_grad_final, check_finite, sample_negatives
+from .training import Adam, bpr_grad_final, check_finite, sample_negatives
 
 
 @dataclass(frozen=True)
@@ -41,6 +42,7 @@ class GateParams:
 
     @classmethod
     def random(cls, d: int, rng: np.random.Generator, std: float = 0.05) -> "GateParams":
+        """Gaussian weights; the default std is that of each cycle's throwaway gate."""
         return cls(w=rng.normal(0.0, std, size=(d, d)), b=rng.normal(0.0, std, size=d))
 
 
@@ -122,30 +124,23 @@ class FinetuneResult:
 
 
 def finetune(
-    graph: InteractionGraph,
-    x_in: np.ndarray,
-    cfg: TrainConfig,
-    n_layers: int,
-    tau: float,
-    rng: np.random.Generator,
-    *,
-    no_temporal: bool = False,
+    graph: InteractionGraph, x_in: np.ndarray, cfg: RunConfig, rng: np.random.Generator
 ) -> FinetuneResult:
     """Tune the gate on one snapshot graph; the incoming table is read-only.
 
     The gate starts at zero (a uniform 0.5 scaling), and only its d*d + d
     parameters receive Adam updates: the ranking loss is back-propagated
     through propagation to the gate output, converted into gate-parameter
-    gradients there, and stopped. Runs exactly `cfg.max_epochs` epochs;
+    gradients there, and stopped. Runs exactly `cfg.finetune_epochs` epochs;
     negatives are drawn against this snapshot's edges only. A non-finite
     loss or gradient raises FloatingPointError.
     """
-    weights = build_weights(graph, tau, no_temporal=no_temporal)
+    weights = build_weights(graph, cfg.tau_seconds, no_temporal=cfg.no_temporal)
     gate = GateParams.zeros(x_in.shape[1])
     adam = Adam({"w": gate.w, "b": gate.b}, cfg.learning_rate)
     positives = np.stack([graph.edge_user, graph.edge_item], axis=1)
     log: list[dict] = []
-    for epoch in range(1, cfg.max_epochs + 1):
+    for epoch in range(1, cfg.finetune_epochs + 1):
         order = rng.permutation(positives.shape[0])
         total = 0.0
         for batch, start in enumerate(range(0, order.size, cfg.batch_size), 1):
@@ -153,9 +148,9 @@ def finetune(
             triples = sample_negatives(graph, rows, rng)
             # the gate's sigmoid, once per step: it gates the input and its gradient
             sig = expit(x_in @ gate.w.T + gate.b)
-            z = forward(weights, x_in * sig, n_layers)
+            z = forward(weights, x_in * sig, cfg.layers)
             loss, grad_z = bpr_grad_final(z, triples)
-            upstream = forward_backward(weights, grad_z, n_layers)
+            upstream = forward_backward(weights, grad_z, cfg.layers)
             grad_w, grad_b = gate_gradients(x_in, sig, upstream)
             if cfg.l2_reg > 0.0:
                 loss += cfg.l2_reg * float(np.sum(gate.w**2) + np.sum(gate.b**2))
@@ -165,7 +160,7 @@ def finetune(
             adam.step({"w": grad_w, "b": grad_b})
             total += loss
         log.append({"epoch": epoch, "loss": total / max(positives.shape[0], 1)})
-    embeddings = forward(weights, apply_gate(x_in, gate), n_layers)
+    embeddings = forward(weights, apply_gate(x_in, gate), cfg.layers)
     return FinetuneResult(
         gate=gate, embeddings=embeddings, log=log, optimizer_steps=adam.step_count
     )

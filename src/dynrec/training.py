@@ -280,7 +280,7 @@ def pretrain(
     rng = seed_stream(cfg.seed, "negatives")
     adam = Adam({"x": x}, cfg.learning_rate)
 
-    best = PretrainResult(embeddings=x.copy())
+    best = PretrainResult(embeddings=x)
     stale = 0
     for epoch in range(1, cfg.max_epochs + 1):
         order = rng.permutation(positives.shape[0])
@@ -315,9 +315,6 @@ def pretrain(
                 stale = 0
             else:
                 stale += 1
-        else:
-            best.embeddings = x.copy()
-            best.best_epoch = epoch
         best.log.append(record)
         if val_keys.size and stale >= cfg.patience:
             break
@@ -331,6 +328,7 @@ def pretrain(
             raise FloatingPointError(
                 f"training diverged: scores overflow at epoch {epoch}"
             ) from exc
+        best.embeddings, best.best_epoch = x, epoch
     best.optimizer_steps = adam.step_count
     return best
 

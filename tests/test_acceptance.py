@@ -437,10 +437,8 @@ def test_criterion_06_parameter_efficiency(capsys, monkeypatch):
         return original_step(self, grads)
 
     monkeypatch.setattr(training_mod.Adam, "step", recording_step)
-    cfg = TrainConfig(
-        learning_rate=1e-2, batch_size=8, max_epochs=3, patience=3, val_fraction=0.0
-    )
-    result = finetune(graph, x_in, cfg, 2, 3600.0, np.random.default_rng(1))
+    cfg = RunConfig(learning_rate=1e-2, batch_size=8, finetune_epochs=3, layers=2, tau_hours=1.0)
+    result = finetune(graph, x_in, cfg, np.random.default_rng(1))
 
     ok = bool(captured)
     touched_w = np.zeros((d, d), dtype=bool)
@@ -461,7 +459,7 @@ def test_criterion_06_parameter_efficiency(capsys, monkeypatch):
         return original_step(self, grads)
 
     monkeypatch.setattr(training_mod.Adam, "step", probing_step)
-    finetune(graph, x_in, cfg, 2, 3600.0, np.random.default_rng(1))
+    finetune(graph, x_in, cfg, np.random.default_rng(1))
     for grads in grads_probe:
         touched_w |= grads["w"] != 0.0
         touched_b |= grads["b"] != 0.0

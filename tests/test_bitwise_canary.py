@@ -60,7 +60,13 @@ def test_pretrain_and_finetune_outputs_match_recorded_digests():
     pre = pretrain(series.pretrain, 8, 2, TAU, cfg)
     graph = build_graph(series.snapshots[0], series.n_users, series.n_items)
     tuned = finetune(
-        graph, pre.embeddings, cfg, 2, TAU, seed_stream(0, "finetune", 0)
+        graph,
+        pre.embeddings,
+        RunConfig(
+            learning_rate=5e-2, batch_size=16, finetune_epochs=3, l2_reg=1e-3,
+            layers=2, tau_hours=TAU / 3600.0,
+        ),
+        seed_stream(0, "finetune", 0),
     )
     got = {
         "pretrain.embeddings": _digest(pre.embeddings),

@@ -1,6 +1,7 @@
 """Config parsing, artifact writers and the command-line workflow."""
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import os
@@ -21,7 +22,7 @@ from dynrec.artifacts import (
     write_user_metrics_csv,
 )
 from dynrec.cli import main
-from dynrec.config import RunConfig, load_config, parse_config
+from dynrec.config import RunConfig, _coerce, load_config, parse_config
 from dynrec.data import DataError
 from dynrec.evaluation import MetricsReport
 from dynrec.prompt import GateParams
@@ -66,6 +67,9 @@ def test_parse_config_bool_spellings(raw, value):
         (["d = x\n"], "expected an integer"),
         (["phi = x\n"], "expected a number"),
         (["no_gate = maybe\n"], "expected a boolean"),
+        # removed keys
+        (["deterministic = true\n"], "unknown config key"),
+        (["random_gate_std = 0.05\n"], "unknown config key"),
     ],
 )
 def test_parse_config_rejects_bad_input(source, match):
@@ -96,14 +100,23 @@ def test_train_config_caps_patience():
     assert tc.max_epochs == 5 and tc.patience == 5
 
 
-def test_finetune_config_fixed_epochs_no_validation():
-    cfg = RunConfig(finetune_epochs=7)
-    fc = cfg.finetune_config()
-    assert fc.max_epochs == 7 and fc.val_fraction == 0.0
-
-
 def test_train_config_validates_at_the_ranking_cutoff():
     assert RunConfig(k=5).train_config().eval_k == 5
+
+
+def test_readme_config_table_lists_every_field_with_its_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Configuration keys", 1)[1].split("\n## ", 1)[0]
+    # (key, default) of each row
+    rows = [
+        [cell.strip(" `") for cell in line.split("|")[1:3]]
+        for line in table.splitlines()
+        if line.startswith("| `")
+    ]
+    assert [key for key, _ in rows] == [f.name for f in dataclasses.fields(RunConfig)]
+    defaults = RunConfig()
+    for key, raw in rows:
+        assert _coerce(key, raw) == getattr(defaults, key), key
 
 
 # -- artifacts -------------------------------------------------------------
@@ -175,7 +188,6 @@ def test_summary_csv_golden(tmp_path):
             "recall": 0.5,
             "ndcg": 0.25,
             "epochs": 4,
-            "wall_time": 0.0,
             "warning": None,
             "tuned": {"n_users": 1, "recall": 1.0, "ndcg": 0.5},
             "untuned": {"n_users": 1, "recall": 0.0, "ndcg": 0.0},
@@ -185,11 +197,11 @@ def test_summary_csv_golden(tmp_path):
     write_summary_csv(path, records)
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     assert lines[0].startswith("cycle,train_snapshot,test_snapshot")
-    assert lines[1] == "1,1,2,3,2,0.5,0.25,1,1.0,0.5,1,0.0,0.0,4,0.0,"
+    assert lines[1] == "1,1,2,3,2,0.5,0.25,1,1.0,0.5,1,0.0,0.0,4,"
 
 
 def test_user_metrics_csv_golden(tmp_path):
-    report = MetricsReport(5, np.array([3]), np.array([1.0]), np.array([0.6309297535714574]))
+    report = MetricsReport(np.array([3]), np.array([1.0]), np.array([0.6309297535714574]))
     path = str(tmp_path / "users.csv")
     write_user_metrics_csv(path, report)
     assert Path(path).read_text(encoding="utf-8") == (

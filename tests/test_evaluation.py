@@ -154,7 +154,7 @@ def test_metrics_match_brute_force(seed):
 
 
 def test_metrics_report_aggregation_and_subset():
-    report = MetricsReport(5, np.array([0, 3, 7]), np.array([1.0, 0.0, 0.5]), np.array([0.5, 0.0, 0.25]))
+    report = MetricsReport(np.array([0, 3, 7]), np.array([1.0, 0.0, 0.5]), np.array([0.5, 0.0, 0.25]))
     assert report.n_users == 3
     assert report.mean_recall() == pytest.approx(0.5)
     assert report.mean_ndcg() == pytest.approx(0.25)

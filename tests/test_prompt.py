@@ -1,12 +1,15 @@
 """Gate algebra, retention schedule, condensed history graph and fine-tuning."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import expit
 
+from dynrec.config import RunConfig
 from dynrec.data import build_graph
 from dynrec.propagation import build_weights, forward
 from dynrec.prompt import (
@@ -18,7 +21,6 @@ from dynrec.prompt import (
     snapshot_retention,
 )
 from dynrec.rng import seed_stream
-from dynrec.training import TrainConfig
 from helpers import bpr_loss, central_difference, edge_array, rel_err
 
 # frozen by hand: sigmoid(ln 3) = 3/4
@@ -182,8 +184,8 @@ def _finetune_setup():
     edges = [(0, 3, 0), (0, 4, 50), (1, 4, 100), (2, 5, 150), (1, 3, 200)]
     g = _graph(edges, n_users=3, n_items=3)
     x_in = np.random.default_rng(8).normal(0.0, 0.3, size=(6, 4))
-    cfg = TrainConfig(
-        learning_rate=1e-2, batch_size=4, max_epochs=3, patience=3, val_fraction=0.0
+    cfg = RunConfig(
+        learning_rate=1e-2, batch_size=4, finetune_epochs=3, layers=2, tau_hours=TAU / 3600.0
     )
     return g, x_in, cfg
 
@@ -193,19 +195,19 @@ def test_finetune_raises_on_a_non_finite_loss():
     g, x_in, cfg = _finetune_setup()
     x_in[0, 0] = np.inf
     with pytest.raises(FloatingPointError, match="epoch 1, batch 1"):
-        finetune(g, x_in, cfg, 2, TAU, seed_stream(0, "finetune", 0))
+        finetune(g, x_in, cfg, seed_stream(0, "finetune", 0))
 
 
 def test_finetune_input_table_is_bitwise_unchanged():
     g, x_in, cfg = _finetune_setup()
     before = x_in.tobytes()
-    finetune(g, x_in, cfg, n_layers=2, tau=TAU, rng=seed_stream(0, "finetune", 0))
+    finetune(g, x_in, cfg, rng=seed_stream(0, "finetune", 0))
     assert x_in.tobytes() == before
 
 
 def test_finetune_runs_fixed_epochs_and_returns_consistent_embeddings():
     g, x_in, cfg = _finetune_setup()
-    result = finetune(g, x_in, cfg, 2, TAU, seed_stream(0, "finetune", 0))
+    result = finetune(g, x_in, cfg, seed_stream(0, "finetune", 0))
     assert [rec["epoch"] for rec in result.log] == [1, 2, 3]
     assert result.gate.w.shape == (4, 4) and result.gate.b.shape == (4,)
     # returned embeddings are the propagated gated table
@@ -217,25 +219,23 @@ def test_finetune_runs_fixed_epochs_and_returns_consistent_embeddings():
 
 def test_finetune_moves_gate_away_from_zero():
     g, x_in, cfg = _finetune_setup()
-    result = finetune(g, x_in, cfg, 2, TAU, seed_stream(0, "finetune", 0))
+    result = finetune(g, x_in, cfg, seed_stream(0, "finetune", 0))
     assert float(np.abs(result.gate.w).max()) > 0.0
     assert float(np.abs(result.gate.b).max()) > 0.0
 
 
 def test_finetune_is_deterministic():
     g, x_in, cfg = _finetune_setup()
-    a = finetune(g, x_in, cfg, 2, TAU, seed_stream(1, "finetune", 0))
-    b = finetune(g, x_in, cfg, 2, TAU, seed_stream(1, "finetune", 0))
+    a = finetune(g, x_in, cfg, seed_stream(1, "finetune", 0))
+    b = finetune(g, x_in, cfg, seed_stream(1, "finetune", 0))
     assert a.embeddings.tobytes() == b.embeddings.tobytes()
     assert a.gate.w.tobytes() == b.gate.w.tobytes()
 
 
 def test_finetune_reduces_ranking_loss_on_its_snapshot():
     g, x_in, cfg = _finetune_setup()
-    cfg = TrainConfig(
-        learning_rate=5e-2, batch_size=8, max_epochs=30, patience=30, val_fraction=0.0
-    )
-    result = finetune(g, x_in, cfg, 2, TAU, seed_stream(0, "finetune", 0))
+    cfg = dataclasses.replace(cfg, learning_rate=5e-2, batch_size=8, finetune_epochs=30)
+    result = finetune(g, x_in, cfg, seed_stream(0, "finetune", 0))
     triples = np.array([[0, 3, 5], [1, 4, 5], [2, 5, 3]])
     before = bpr_loss(forward(build_weights(g, TAU), apply_gate(x_in, GateParams.zeros(4)), 2), triples)
     after = bpr_loss(result.embeddings, triples)
