@@ -17,7 +17,7 @@ import os
 import numpy as np
 
 from .config import RunConfig
-from .data import DataError
+from .data import DataError, Vocabulary
 from .prompt import GateParams
 
 
@@ -48,6 +48,13 @@ def sha256_file(path: str) -> str:
     return digest.hexdigest()
 
 
+def vocab_sha256(vocab: Vocabulary) -> str:
+    """SHA-256 of the vocabulary's raw user ids then item ids, as little-endian int64."""
+    digest = hashlib.sha256(vocab.users.astype("<i8").tobytes())
+    digest.update(vocab.items.astype("<i8").tobytes())
+    return digest.hexdigest()
+
+
 def write_manifest(out_dir: str, command: str, cfg: RunConfig, inputs: list[str]) -> str:
     """Record what produced a run directory: command, config, input digests."""
     config_dict = cfg.to_dict()
@@ -66,10 +73,9 @@ def write_manifest(out_dir: str, command: str, cfg: RunConfig, inputs: list[str]
 def write_checkpoint(
     out_dir: str,
     embeddings: np.ndarray,
+    vocab: Vocabulary,
     *,
     kind: str,
-    n_users: int,
-    n_items: int,
     optimizer_step: int = 0,
     gate: GateParams | None = None,
     extra: dict | None = None,
@@ -79,7 +85,8 @@ def write_checkpoint(
     `kind` distinguishes pre-training checkpoints from per-snapshot ones;
     snapshot checkpoints may carry the tuned gate arrays alongside. The
     sidecar records the SHA-256 digest of every array file, taken from the
-    bytes as they are written.
+    bytes as they are written, and `vocab_sha256`, which binds the table's
+    rows to the raw ids of the log it was trained on.
     """
     os.makedirs(out_dir, exist_ok=True)
     arrays = {"embeddings.npy": embeddings}
@@ -95,12 +102,13 @@ def write_checkpoint(
     meta = {
         "kind": kind,
         "d": int(embeddings.shape[1]),
-        "n_users": int(n_users),
-        "n_items": int(n_items),
+        "n_users": vocab.n_users,
+        "n_items": vocab.n_items,
         "rows": int(embeddings.shape[0]),
         "optimizer_step": int(optimizer_step),
         "has_gate": gate is not None,
         "sha256": digests,
+        "vocab_sha256": vocab_sha256(vocab),
     }
     if extra:
         meta.update(extra)
@@ -111,16 +119,20 @@ def read_checkpoint(ckpt_dir: str) -> tuple[np.ndarray, dict, GateParams | None]
     """Load a checkpoint directory; verifies array digests and shapes.
 
     Each array file is read once: its digest is checked on those bytes,
-    which are then parsed. Raises DataError when an array file does not
-    match its recorded digest or the sidecar disagrees with the arrays.
+    which are then parsed. Raises DataError when the sidecar lacks a key
+    read here, an array file does not match its recorded digest or the
+    sidecar disagrees with the arrays.
     """
     meta = read_json(os.path.join(ckpt_dir, "checkpoint.json"))
+    for key in ("d", "n_users", "n_items", "rows", "has_gate", "sha256", "vocab_sha256"):
+        if key not in meta:
+            raise DataError(f"checkpoint sidecar in {ckpt_dir} has no {key!r} key")
     arrays = {}
-    names = ["embeddings.npy"] + (["gate_w.npy", "gate_b.npy"] if meta.get("has_gate") else [])
+    names = ["embeddings.npy"] + (["gate_w.npy", "gate_b.npy"] if meta["has_gate"] else [])
     for name in names:
         with open(os.path.join(ckpt_dir, name), "rb") as fh:
             data = fh.read()
-        if hashlib.sha256(data).hexdigest() != meta.get("sha256", {}).get(name):
+        if hashlib.sha256(data).hexdigest() != meta["sha256"].get(name):
             raise DataError(f"checkpoint mismatch: {name} does not match its SHA-256 digest")
         arrays[name] = np.load(io.BytesIO(data))
     embeddings = arrays["embeddings.npy"]
@@ -132,7 +144,7 @@ def read_checkpoint(ckpt_dir: str) -> tuple[np.ndarray, dict, GateParams | None]
     if meta["rows"] != meta["n_users"] + meta["n_items"]:
         raise DataError("checkpoint mismatch: rows != n_users + n_items")
     gate = None
-    if meta.get("has_gate"):
+    if meta["has_gate"]:
         gate = GateParams(w=arrays["gate_w.npy"], b=arrays["gate_b.npy"])
     return embeddings, meta, gate
 

@@ -21,10 +21,13 @@ import logging
 import os
 import sys
 
+import numpy as np
+
 from .artifacts import (
     read_checkpoint,
     read_json,
     sha256_file,
+    vocab_sha256,
     write_checkpoint,
     write_json,
     write_manifest,
@@ -32,9 +35,9 @@ from .artifacts import (
     write_user_metrics_csv,
 )
 from .config import RunConfig, load_config, parse_config
-from .data import DataError, SnapshotSeries, load_interactions, segment_snapshots
-from .dynamics import DynamicResult, run_dynamic, run_frozen
-from .training import pretrain
+from .data import DataError, SnapshotSeries, Vocabulary, load_interactions, segment_snapshots
+from .dynamics import CycleArtifacts, DynamicResult, run_dynamic, run_frozen
+from .training import PretrainResult, pretrain
 
 log = logging.getLogger("dynrec")
 
@@ -118,92 +121,110 @@ def _resolve_checkpoint(path: str) -> str:
     raise FileNotFoundError(f"no checkpoint.json under {path!r}")
 
 
+def _pretrained(
+    args, cfg: RunConfig, series: SnapshotSeries
+) -> tuple[np.ndarray, PretrainResult | None, str | None]:
+    """The pre-trained table, with its training result or the checkpoint it came from.
+
+    With `--pretrained`, the table is read from that checkpoint, which must
+    have been written for this log's vocabulary; otherwise it is trained
+    on the log's pre-training graph.
+    """
+    if not getattr(args, "pretrained", None):
+        trained = pretrain(
+            series.pretrain,
+            cfg.d,
+            cfg.layers,
+            cfg.tau_seconds,
+            cfg.train_config(),
+            no_temporal=cfg.no_temporal,
+            init_std=cfg.init_std,
+        )
+        return trained.embeddings, trained, None
+    ckpt_dir = _resolve_checkpoint(args.pretrained)
+    embeddings, meta, _ = read_checkpoint(ckpt_dir)
+    if meta["d"] != cfg.d:
+        raise ValueError(f"checkpoint dimension {meta['d']} does not match config d={cfg.d}")
+    digest = vocab_sha256(series.vocab)
+    if meta["vocab_sha256"] != digest:
+        raise DataError(
+            f"checkpoint {ckpt_dir} was written for another log: its vocabulary "
+            f"digest is {meta['vocab_sha256']}, this log's is {digest}"
+        )
+    return embeddings, None, ckpt_dir
+
+
 def _write_run_outputs(
-    out: str, series: SnapshotSeries, result: DynamicResult, cfg: RunConfig
+    args, cfg: RunConfig, series: SnapshotSeries, result: DynamicResult | None = None
 ) -> None:
-    write_json(os.path.join(out, "segments.json"), series.manifest())
+    """Create the run directory with its manifest and segments, plus `result`'s metrics."""
+    os.makedirs(args.out, exist_ok=True)
+    write_manifest(args.out, args.command, cfg, [args.data])
+    write_json(os.path.join(args.out, "segments.json"), series.manifest())
+    if result is None:
+        return
     write_json(
-        os.path.join(out, "metrics.json"),
+        os.path.join(args.out, "metrics.json"),
         {"records": result.records, "summary": result.summary()},
     )
-    write_summary_csv(os.path.join(out, "summary.csv"), result.records)
-    per_user = os.path.join(out, "per_user")
+    write_summary_csv(os.path.join(args.out, "summary.csv"), result.records)
+    per_user = os.path.join(args.out, "per_user")
     os.makedirs(per_user, exist_ok=True)
     for idx, cycle in enumerate(result.cycles, start=1):
-        write_user_metrics_csv(
-            os.path.join(per_user, f"cycle_{idx:03d}.csv"), cycle.report
-        )
+        write_user_metrics_csv(os.path.join(per_user, f"cycle_{idx:03d}.csv"), cycle.report)
+
+
+def _write_pretrain(
+    out: str, vocab: Vocabulary, x_p: np.ndarray, trained: PretrainResult | None
+) -> None:
+    """Write the pre-training log and checkpoint; a table read from a checkpoint has no log."""
+    write_json(os.path.join(out, "pretrain_log.json"), trained.log if trained is not None else [])
+    progress = {}
+    if trained is not None:
+        progress = {
+            "optimizer_step": trained.optimizer_steps,
+            "extra": {"best_epoch": trained.best_epoch, "best_recall": trained.best_recall},
+        }
+    write_checkpoint(
+        os.path.join(out, "checkpoints", "pretrain"), x_p, vocab, kind="pretrain", **progress
+    )
+
+
+def _write_cycle_checkpoint(
+    out: str, n: int, cycle: CycleArtifacts, vocab: Vocabulary, extra: dict | None = None
+) -> None:
+    write_checkpoint(
+        os.path.join(out, "checkpoints", f"snapshot_{n:03d}"),
+        cycle.embeddings,
+        vocab,
+        kind="finetune",
+        optimizer_step=cycle.optimizer_steps,
+        gate=cycle.gate,
+        extra=extra,
+    )
 
 
 def _cmd_pretrain(args, cfg: RunConfig) -> int:
     series = _load_series(args.data, cfg)
-    result = pretrain(
-        series.pretrain,
-        cfg.d,
-        cfg.layers,
-        cfg.tau_seconds,
-        cfg.train_config(),
-        no_temporal=cfg.no_temporal,
-        init_std=cfg.init_std,
-    )
-    os.makedirs(args.out, exist_ok=True)
-    write_manifest(args.out, "pretrain", cfg, [args.data])
-    write_json(os.path.join(args.out, "segments.json"), series.manifest())
-    write_json(os.path.join(args.out, "pretrain_log.json"), result.log)
-    write_checkpoint(
-        os.path.join(args.out, "checkpoints", "pretrain"),
-        result.embeddings,
-        kind="pretrain",
-        n_users=series.n_users,
-        n_items=series.n_items,
-        optimizer_step=result.optimizer_steps,
-        extra={"best_epoch": result.best_epoch, "best_recall": result.best_recall},
-    )
+    x_p, trained, _ = _pretrained(args, cfg, series)
+    _write_run_outputs(args, cfg, series)
+    _write_pretrain(args.out, series.vocab, x_p, trained)
     log.info(
         "pre-training done: best epoch %d, held-out recall %.4f",
-        result.best_epoch,
-        result.best_recall,
+        trained.best_epoch,
+        trained.best_recall,
     )
     return 0
 
 
-def _load_pretrained(args, cfg: RunConfig):
-    if not getattr(args, "pretrained", None):
-        return None, None
-    ckpt_dir = _resolve_checkpoint(args.pretrained)
-    embeddings, meta, _ = read_checkpoint(ckpt_dir)
-    if meta["d"] != cfg.d:
-        raise ValueError(
-            f"checkpoint dimension {meta['d']} does not match config d={cfg.d}"
-        )
-    return embeddings, ckpt_dir
-
-
 def _cmd_run_dynamic(args, cfg: RunConfig) -> int:
     series = _load_series(args.data, cfg)
-    pretrained, _ = _load_pretrained(args, cfg)
-    result = run_dynamic(series, cfg, pretrained)
-    os.makedirs(args.out, exist_ok=True)
-    write_manifest(args.out, "run-dynamic", cfg, [args.data])
-    write_json(os.path.join(args.out, "pretrain_log.json"), result.pretrain_log)
-    write_checkpoint(
-        os.path.join(args.out, "checkpoints", "pretrain"),
-        result.pretrained,
-        kind="pretrain",
-        n_users=series.n_users,
-        n_items=series.n_items,
-    )
+    x_p, trained, _ = _pretrained(args, cfg, series)
+    result = run_dynamic(series, cfg, x_p)
+    _write_run_outputs(args, cfg, series, result)
+    _write_pretrain(args.out, series.vocab, x_p, trained)
     for idx, cycle in enumerate(result.cycles, start=1):
-        write_checkpoint(
-            os.path.join(args.out, "checkpoints", f"snapshot_{idx:03d}"),
-            cycle.embeddings,
-            kind="finetune",
-            n_users=series.n_users,
-            n_items=series.n_items,
-            optimizer_step=cycle.optimizer_steps,
-            gate=cycle.gate,
-        )
-    _write_run_outputs(args.out, series, result, cfg)
+        _write_cycle_checkpoint(args.out, idx, cycle, series.vocab)
     summary = result.summary()
     log.info(
         "dynamic run done: %d cycles, macro recall %.4f, macro ndcg %.4f",
@@ -227,27 +248,15 @@ def _cmd_finetune(args, cfg: RunConfig) -> int:
         snapshots=series.snapshots[: n + 1],
         boundaries=series.boundaries[: n + 1],
     )
-    pretrained, ckpt_dir = _load_pretrained(args, cfg)
-    result = run_dynamic(truncated, cfg, pretrained)
-    os.makedirs(args.out, exist_ok=True)
-    write_manifest(args.out, "finetune", cfg, [args.data])
-    last = result.cycles[-1]
+    x_p, _, ckpt_dir = _pretrained(args, cfg, series)
+    result = run_dynamic(truncated, cfg, x_p)
+    _write_run_outputs(args, cfg, truncated, result)
     extra = {"snapshot": n}
     if ckpt_dir is not None:
         extra["upstream_checkpoint_sha256"] = sha256_file(
             os.path.join(ckpt_dir, "checkpoint.json")
         )
-    write_checkpoint(
-        os.path.join(args.out, "checkpoints", f"snapshot_{n:03d}"),
-        last.embeddings,
-        kind="finetune",
-        n_users=series.n_users,
-        n_items=series.n_items,
-        optimizer_step=last.optimizer_steps,
-        gate=last.gate,
-        extra=extra,
-    )
-    _write_run_outputs(args.out, truncated, result, cfg)
+    _write_cycle_checkpoint(args.out, n, result.cycles[-1], series.vocab, extra)
     log.info(
         "fine-tuned through snapshot %d: recall %.4f on snapshot %d",
         n,
@@ -259,11 +268,9 @@ def _cmd_finetune(args, cfg: RunConfig) -> int:
 
 def _cmd_evaluate(args, cfg: RunConfig) -> int:
     series = _load_series(args.data, cfg)
-    pretrained, _ = _load_pretrained(args, cfg)
-    result = run_frozen(series, cfg, pretrained)
-    os.makedirs(args.out, exist_ok=True)
-    write_manifest(args.out, "evaluate", cfg, [args.data])
-    _write_run_outputs(args.out, series, result, cfg)
+    x_p, _, _ = _pretrained(args, cfg, series)
+    result = run_frozen(series, cfg, x_p)
+    _write_run_outputs(args, cfg, series, result)
     summary = result.summary()
     log.info(
         "frozen evaluation done: %d cycles, macro recall %.4f",

@@ -29,7 +29,6 @@ from .evaluation import MetricsReport, evaluate_users, pair_keys
 from .prompt import GateParams, apply_gate, build_prompt_graph, finetune
 from .propagation import build_weights, forward
 from .rng import seed_stream
-from .training import PretrainResult, pretrain
 
 
 def interpolative_init(x_p: np.ndarray, window: Sequence[np.ndarray]) -> np.ndarray:
@@ -66,8 +65,6 @@ class DynamicResult:
 
     records: list[dict] = field(default_factory=list)
     cycles: list[CycleArtifacts] = field(default_factory=list)
-    pretrain_log: list[dict] = field(default_factory=list)
-    pretrained: np.ndarray | None = None
 
     def macro(self) -> tuple[float, float]:
         """Mean of per-cycle means, over cycles that evaluated anyone."""
@@ -106,26 +103,10 @@ def _candidate_items(cfg: RunConfig, n_items: int, cycle: int) -> np.ndarray | N
     return np.sort(rng.choice(n_items, size=cfg.eval_candidates, replace=False))
 
 
-def _ensure_pretrained(
-    series: SnapshotSeries, cfg: RunConfig, pretrained: np.ndarray | None
-) -> tuple[np.ndarray, list[dict]]:
-    if pretrained is not None:
-        expected = (series.vocab.n_nodes, cfg.d)
-        if pretrained.shape != expected:
-            raise DataError(
-                f"pretrained table has shape {pretrained.shape}, expected {expected}"
-            )
-        return pretrained, []
-    result: PretrainResult = pretrain(
-        series.pretrain,
-        cfg.d,
-        cfg.layers,
-        cfg.tau_seconds,
-        cfg.train_config(),
-        no_temporal=cfg.no_temporal,
-        init_std=cfg.init_std,
-    )
-    return result.embeddings, result.log
+def _check_shape(series: SnapshotSeries, cfg: RunConfig, pretrained: np.ndarray) -> None:
+    expected = (series.vocab.n_nodes, cfg.d)
+    if pretrained.shape != expected:
+        raise DataError(f"pretrained table has shape {pretrained.shape}, expected {expected}")
 
 
 def _evaluate_cycle(
@@ -179,11 +160,7 @@ def _evaluate_cycle(
     return seen
 
 
-def run_dynamic(
-    series: SnapshotSeries,
-    cfg: RunConfig,
-    pretrained: np.ndarray | None = None,
-) -> DynamicResult:
+def run_dynamic(series: SnapshotSeries, cfg: RunConfig, pretrained: np.ndarray) -> DynamicResult:
     """Run the full adaptation protocol over consecutive snapshot pairs.
 
     Cycle k trains on snapshot k and evaluates on snapshot k+1; every item a
@@ -192,10 +169,12 @@ def run_dynamic(
     interpolated re-init, the condensed-history pass, the learnable gate, or
     temporal edge weighting, each independently. Cycles whose training
     snapshot is empty skip adaptation, evaluate the re-initialized table,
-    and carry a warning in their record.
+    and carry a warning in their record. `pretrained` is the pre-trained
+    table, one row per vocabulary node and `cfg.d` columns; a table of
+    another shape raises DataError.
     """
-    x_p, pretrain_log = _ensure_pretrained(series, cfg, pretrained)
-    result = DynamicResult(pretrain_log=pretrain_log, pretrained=x_p)
+    _check_shape(series, cfg, pretrained)
+    result = DynamicResult()
     n_users, n_items = series.n_users, series.n_items
     window: deque[np.ndarray] = deque(maxlen=cfg.omega)  # newest first
     seen = series.pretrain.keys
@@ -205,9 +184,9 @@ def run_dynamic(
         warning = None
 
         if cfg.no_interp_update:
-            x_init = x_p.copy()
+            x_init = pretrained.copy()
         else:
-            x_init = interpolative_init(x_p, window)
+            x_init = interpolative_init(pretrained, window)
 
         if cfg.no_prompt_tuning:
             x_n0 = x_init
@@ -263,22 +242,18 @@ def run_dynamic(
     return result
 
 
-def run_frozen(
-    series: SnapshotSeries,
-    cfg: RunConfig,
-    pretrained: np.ndarray | None = None,
-) -> DynamicResult:
-    """Evaluate the pre-trained table on every test snapshot, unadapted.
+def run_frozen(series: SnapshotSeries, cfg: RunConfig, pretrained: np.ndarray) -> DynamicResult:
+    """Evaluate the pre-trained table `pretrained` on every test snapshot, unadapted.
 
     Follows the same cycle schedule and masking as `run_dynamic` but ranks
     with one fixed propagation pass over the pre-training graph, so the only
     thing that changes between cycles is which interactions are hidden.
     """
-    x_p, pretrain_log = _ensure_pretrained(series, cfg, pretrained)
-    result = DynamicResult(pretrain_log=pretrain_log, pretrained=x_p)
+    _check_shape(series, cfg, pretrained)
+    result = DynamicResult()
 
     weights_p = build_weights(series.pretrain, cfg.tau_seconds, no_temporal=cfg.no_temporal)
-    z_p = forward(weights_p, x_p, cfg.layers)
+    z_p = forward(weights_p, pretrained, cfg.layers)
 
     seen = series.pretrain.keys
     for k in range(series.n_snapshots - 1):

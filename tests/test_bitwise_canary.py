@@ -168,7 +168,11 @@ def test_run_dynamic_outputs_match_recorded_digests():
         patience=2, finetune_epochs=2, pretrain_span_hours=48.0, granularity_hours=6.0,
         k=5, phi=0.3, val_fraction=0.0,
     )
-    result = run_dynamic(series, cfg)
+    x_p = pretrain(
+        series.pretrain, cfg.d, cfg.layers, cfg.tau_seconds, cfg.train_config(),
+        no_temporal=cfg.no_temporal, init_std=cfg.init_std,
+    ).embeddings
+    result = run_dynamic(series, cfg, x_p)
     assert result.records[-1]["warning"] is not None
     got = {
         "records.recall": _digest([r["recall"] for r in result.records]),

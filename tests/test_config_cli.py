@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from dynrec.artifacts import (
     read_json,
     sha256_text,
     stable_json,
+    vocab_sha256,
     write_checkpoint,
     write_json,
     write_manifest,
@@ -23,7 +25,7 @@ from dynrec.artifacts import (
 )
 from dynrec.cli import main
 from dynrec.config import RunConfig, _coerce, load_config, parse_config
-from dynrec.data import DataError
+from dynrec.data import DataError, Vocabulary, load_interactions
 from dynrec.evaluation import MetricsReport
 from dynrec.prompt import GateParams
 from dynrec.synthetic import drift_series, write_tsv
@@ -139,25 +141,29 @@ def test_json_round_trip(tmp_path):
     assert read_json(path) == {"k": [1, 2, 3]}
 
 
+TWO_BY_TWO = Vocabulary(users=np.arange(2), items=np.arange(2))
+
+
 def test_checkpoint_round_trip_with_gate(tmp_path):
     out = str(tmp_path / "ckpt")
     emb = np.arange(12.0).reshape(4, 3)
     gate = GateParams(w=np.eye(3), b=np.ones(3))
     write_checkpoint(
-        out, emb, kind="finetune", n_users=2, n_items=2, optimizer_step=7, gate=gate,
+        out, emb, TWO_BY_TWO, kind="finetune", optimizer_step=7, gate=gate,
         extra={"snapshot": 2},
     )
     loaded, meta, loaded_gate = read_checkpoint(out)
     assert np.array_equal(loaded, emb)
     assert meta["kind"] == "finetune" and meta["optimizer_step"] == 7
     assert meta["snapshot"] == 2 and meta["has_gate"] is True
+    assert meta["vocab_sha256"] == vocab_sha256(TWO_BY_TWO)
     assert np.array_equal(loaded_gate.w, gate.w)
     assert np.array_equal(loaded_gate.b, gate.b)
 
 
 def test_checkpoint_detects_tampered_sidecar(tmp_path):
     out = str(tmp_path / "ckpt")
-    write_checkpoint(out, np.zeros((4, 3)), kind="pretrain", n_users=2, n_items=2)
+    write_checkpoint(out, np.zeros((4, 3)), TWO_BY_TWO, kind="pretrain")
     meta = read_json(os.path.join(out, "checkpoint.json"))
     meta["rows"] = 99
     write_json(os.path.join(out, "checkpoint.json"), meta)
@@ -167,7 +173,7 @@ def test_checkpoint_detects_tampered_sidecar(tmp_path):
 
 def test_checkpoint_refuses_flipped_array_byte(tmp_path):
     out = str(tmp_path / "ckpt")
-    write_checkpoint(out, np.arange(12.0).reshape(4, 3), kind="pretrain", n_users=2, n_items=2)
+    write_checkpoint(out, np.arange(12.0).reshape(4, 3), TWO_BY_TWO, kind="pretrain")
     path = os.path.join(out, "embeddings.npy")
     data = bytearray(Path(path).read_bytes())
     data[-1] ^= 0x01  # last byte of the last float: same shape, other value
@@ -293,7 +299,8 @@ def test_run_dynamic_from_checkpoint(cli_data, pretrain_run, tmp_path):
 
 
 def test_run_dynamic_without_checkpoint_matches(cli_data, pretrain_run, tmp_path):
-    # pre-training inside run-dynamic reproduces the standalone checkpoint
+    # pre-training inside run-dynamic reproduces the standalone checkpoint and
+    # writes the same pre-training artefacts as `dynrec pretrain`
     with_ckpt = str(tmp_path / "a")
     scratch = str(tmp_path / "b")
     assert main(["run-dynamic", "--data", cli_data, "--out", with_ckpt, "--quiet",
@@ -303,6 +310,11 @@ def test_run_dynamic_without_checkpoint_matches(cli_data, pretrain_run, tmp_path
     a = Path(with_ckpt, "metrics.json").read_bytes()
     b = Path(scratch, "metrics.json").read_bytes()
     assert a == b
+    ckpt = os.path.join("checkpoints", "pretrain")
+    names = sorted(os.listdir(os.path.join(pretrain_run, ckpt)))
+    assert sorted(os.listdir(os.path.join(scratch, ckpt))) == names
+    for name in ["pretrain_log.json"] + [os.path.join(ckpt, n) for n in names]:
+        assert Path(scratch, name).read_bytes() == Path(pretrain_run, name).read_bytes(), name
 
 
 def test_finetune_snapshot_command(cli_data, pretrain_run, tmp_path):
@@ -337,15 +349,55 @@ def test_evaluate_frozen_baseline(cli_data, pretrain_run, tmp_path):
     assert all(rec["epochs"] == 0 for rec in metrics["records"])
 
 
-def test_evaluate_exits_1_on_a_checkpoint_for_another_vocabulary(cli_data, pretrain_run, tmp_path, caplog):
-    # the same log without its last user: the checkpoint has one row too many
-    edges = np.loadtxt(cli_data, dtype=np.int64, ndmin=2)
-    data = tmp_path / "one-user-fewer.tsv"
-    write_tsv(str(data), edges[edges[:, 0] != edges[:, 0].max()])
+def _relabelled(edges):
+    # the same counts and pairs under other raw user ids
+    shifted = edges.copy()
+    shifted[:, 0] += 1000
+    return shifted
+
+
+def _one_user_fewer(edges):
+    return edges[edges[:, 0] != edges[:, 0].max()]
+
+
+@pytest.mark.parametrize(
+    ("make_log", "drop_key", "message"),
+    [
+        (_relabelled, None, "was written for another log"),
+        (_one_user_fewer, None, "was written for another log"),
+        (None, "vocab_sha256", "has no 'vocab_sha256' key"),
+        (None, "rows", "has no 'rows' key"),
+    ],
+    ids=["relabelled-users", "one-user-fewer", "no-vocab-digest", "no-rows"],
+)
+def test_evaluate_exits_1_on_a_foreign_or_incomplete_checkpoint(
+    cli_data, pretrain_run, tmp_path, caplog, make_log, drop_key, message
+):
+    data = cli_data
+    if make_log is not None:
+        data = str(tmp_path / "other.tsv")
+        write_tsv(data, make_log(np.loadtxt(cli_data, dtype=np.int64, ndmin=2)))
+    ckpt = os.path.join(pretrain_run, "checkpoints", "pretrain")
+    if drop_key is not None:
+        ckpt = shutil.copytree(ckpt, str(tmp_path / "ckpt"))
+        meta = read_json(os.path.join(ckpt, "checkpoint.json"))
+        del meta[drop_key]
+        write_json(os.path.join(ckpt, "checkpoint.json"), meta)
     out = tmp_path / "frozen"
-    assert main(["evaluate", "--data", str(data), "--out", str(out), "--quiet",
-                 "--pretrained", pretrain_run, *CLI_SETTINGS]) == 1
-    assert "invalid input: pretrained table has shape" in caplog.text
+    assert main(["evaluate", "--data", data, "--out", str(out), "--quiet",
+                 "--pretrained", ckpt, *CLI_SETTINGS]) == 1
+    assert "invalid input: checkpoint" in caplog.text and message in caplog.text
+    if make_log is not None:
+        # both digests are named: the checkpoint's and this log's
+        assert read_json(os.path.join(ckpt, "checkpoint.json"))["vocab_sha256"] in caplog.text
+        assert vocab_sha256(load_interactions(data)[1]) in caplog.text
+    assert not out.exists()
+
+
+def test_evaluate_exits_2_on_a_checkpoint_of_another_dimension(cli_data, pretrain_run, tmp_path):
+    out = tmp_path / "frozen"
+    assert main(["evaluate", "--data", cli_data, "--out", str(out), "--quiet",
+                 "--pretrained", pretrain_run, *CLI_SETTINGS, "--set", "d=16"]) == 2
     assert not out.exists()
 
 

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from dynrec.config import RunConfig
-from dynrec.data import build_graph, segment_snapshots
+from dynrec.data import DataError, build_graph, segment_snapshots
 from dynrec.dynamics import DynamicResult, interpolative_init, run_dynamic, run_frozen
 from dynrec.prompt import GateParams, apply_gate, build_prompt_graph
 from dynrec.propagation import build_weights, forward
 from dynrec.rng import seed_stream
 from dynrec.synthetic import drift_series
+from dynrec.training import pretrain
 from helpers import edge_array
 
 RECORD_KEYS = {
@@ -46,6 +47,13 @@ def _small_cfg(**overrides) -> RunConfig:
     )
     base.update(overrides)
     return RunConfig(**base)
+
+
+def _pretrained(series, cfg: RunConfig) -> np.ndarray:
+    return pretrain(
+        series.pretrain, cfg.d, cfg.layers, cfg.tau_seconds, cfg.train_config(),
+        no_temporal=cfg.no_temporal, init_std=cfg.init_std,
+    ).embeddings
 
 
 def _small_series():
@@ -110,7 +118,8 @@ def test_interpolative_init_closed_form_on_random_tables():
 
 def test_run_dynamic_record_schedule_and_shape():
     series = _small_series()
-    result = run_dynamic(series, _small_cfg())
+    cfg = _small_cfg()
+    result = run_dynamic(series, cfg, _pretrained(series, cfg))
     assert len(result.records) == series.n_snapshots - 1
     for idx, rec in enumerate(result.records, start=1):
         assert set(rec) == RECORD_KEYS
@@ -156,8 +165,9 @@ def test_run_dynamic_matches_the_hand_composed_cycle_pipeline():
 
 def test_run_dynamic_is_deterministic():
     series = _small_series()
-    a = run_dynamic(series, _small_cfg())
-    b = run_dynamic(series, _small_cfg())
+    cfg = _small_cfg()
+    a = run_dynamic(series, cfg, _pretrained(series, cfg))
+    b = run_dynamic(series, cfg, _pretrained(series, cfg))
     assert a.records == b.records
     for ca, cb in zip(a.cycles, b.cycles):
         assert ca.embeddings.tobytes() == cb.embeddings.tobytes()
@@ -166,23 +176,25 @@ def test_run_dynamic_is_deterministic():
 def test_run_dynamic_reuses_supplied_pretrained_table():
     series = _small_series()
     cfg = _small_cfg()
-    first = run_dynamic(series, cfg)
-    again = run_dynamic(series, cfg, pretrained=first.pretrained)
-    assert again.pretrain_log == []
+    x_p = _pretrained(series, cfg)
+    before = x_p.tobytes()
+    first = run_dynamic(series, cfg, x_p)
+    again = run_dynamic(series, cfg, pretrained=x_p)
+    assert x_p.tobytes() == before
     assert again.records == first.records
 
 
 def test_run_dynamic_validates_pretrained_shape():
     series = _small_series()
-    with pytest.raises(ValueError, match="shape"):
+    with pytest.raises(DataError, match="shape"):
         run_dynamic(series, _small_cfg(), pretrained=np.zeros((3, 8)))
 
 
 def test_ablation_switches_change_the_metric_trace():
     series = _small_series()
     cfg = _small_cfg()
-    base = run_dynamic(series, cfg)
-    x_p = base.pretrained
+    x_p = _pretrained(series, cfg)
+    base = run_dynamic(series, cfg, x_p)
     trace = [(r["recall"], r["ndcg"]) for r in base.records]
     for flag in ("no_prompt_tuning", "no_gate", "no_interp_update", "no_temporal"):
         variant = run_dynamic(series, _small_cfg(**{flag: True}), pretrained=x_p)
@@ -191,7 +203,8 @@ def test_ablation_switches_change_the_metric_trace():
 
 def test_no_gate_skips_tuning_entirely():
     series = _small_series()
-    result = run_dynamic(series, _small_cfg(no_gate=True))
+    cfg = _small_cfg(no_gate=True)
+    result = run_dynamic(series, cfg, _pretrained(series, cfg))
     assert all(rec["epochs"] == 0 for rec in result.records)
     assert all(cycle.gate is None for cycle in result.cycles)
 
@@ -210,7 +223,7 @@ def test_empty_training_snapshot_skips_adaptation():
     cfg = _small_cfg(
         d=4, pretrain_span_hours=100 / 3600, granularity_hours=50 / 3600, max_epochs=2, patience=2
     )
-    result = run_dynamic(series, cfg)
+    result = run_dynamic(series, cfg, _pretrained(series, cfg))
     assert result.records[0]["warning"] is None
     assert result.records[1]["warning"] is not None
     assert result.records[1]["epochs"] == 0
@@ -248,7 +261,8 @@ def test_masking_hides_previously_seen_items_during_evaluation():
 
 def test_run_frozen_embeddings_constant_across_cycles():
     series = _small_series()
-    result = run_frozen(series, _small_cfg())
+    cfg = _small_cfg()
+    result = run_frozen(series, cfg, _pretrained(series, cfg))
     first = result.cycles[0].embeddings.tobytes()
     assert all(c.embeddings.tobytes() == first for c in result.cycles)
     assert all(rec["epochs"] == 0 for rec in result.records)
@@ -256,7 +270,8 @@ def test_run_frozen_embeddings_constant_across_cycles():
 
 def test_macro_micro_aggregate_per_cycle_reports():
     series = _small_series()
-    result = run_frozen(series, _small_cfg())
+    cfg = _small_cfg()
+    result = run_frozen(series, cfg, _pretrained(series, cfg))
     active = [r for r in result.records if r["n_eval_users"] > 0]
     macro_r, macro_n = result.macro()
     assert macro_r == pytest.approx(np.mean([r["recall"] for r in active]))
@@ -277,11 +292,14 @@ def test_empty_result_aggregates_to_zero():
 
 def test_candidate_sampling_limits_ranking_pool():
     series = _small_series()
-    full = run_frozen(series, _small_cfg())
-    sampled = run_frozen(series, _small_cfg(eval_candidates=4))
+    cfg = _small_cfg()
+    full = run_frozen(series, cfg, _pretrained(series, cfg))
+    cfg = _small_cfg(eval_candidates=4)
+    sampled = run_frozen(series, cfg, _pretrained(series, cfg))
     assert len(sampled.records) == len(full.records)
     for rec in sampled.records:
         assert 0.0 <= rec["recall"] <= 1.0
     # a candidate pool at least as large as the catalog changes nothing
-    saturated = run_frozen(series, _small_cfg(eval_candidates=series.n_items))
+    cfg = _small_cfg(eval_candidates=series.n_items)
+    saturated = run_frozen(series, cfg, _pretrained(series, cfg))
     assert saturated.records == full.records

@@ -1,6 +1,9 @@
 """Synthetic log generators: planted blocks, drifting preferences, user splits."""
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -99,3 +102,40 @@ def test_write_tsv_round_trips(tmp_path):
     loaded, vocab = load_interactions(str(path))
     assert np.array_equal(loaded, log)
     assert vocab.n_users == 8
+
+
+def _make_synthetic():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "make_synthetic.py"
+    spec = importlib.util.spec_from_file_location("make_synthetic", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    ("argv", "expected"),
+    [
+        (
+            ["blocks", "--users", "12", "--items", "8", "--blocks", "4", "--per-user", "2",
+             "--seed", "3"],
+            lambda: planted_blocks(n_users=12, n_items=8, n_blocks=4, per_user=2, seed=3),
+        ),
+        (
+            ["drift", "--blocks", "2", "--users-per-block", "3", "--items-per-block", "4",
+             "--pretrain-days", "1", "--snapshot-days", "2", "--stale-per-day", "2",
+             "--lead-per-day", "1", "--seed", "4"],
+            lambda: drift_series(
+                n_blocks=2, users_per_block=3, items_per_block=4, pretrain_days=1,
+                snapshot_days=2, stale_per_day=2, lead_per_day=1, seed=4,
+            ),
+        ),
+    ],
+    ids=["blocks", "drift"],
+)
+def test_make_synthetic_script_writes_the_generators_log(tmp_path, capsys, argv, expected):
+    out = tmp_path / "log.tsv"
+    assert _make_synthetic().main([*argv, "--out", str(out)]) == 0
+    log = expected()
+    assert capsys.readouterr().out == f"wrote {len(log)} interactions to {out}\n"
+    loaded, _ = load_interactions(str(out))
+    assert loaded.dtype == log.dtype and np.array_equal(loaded, log)
