@@ -26,7 +26,6 @@ import numpy as np
 from .artifacts import (
     read_checkpoint,
     read_json,
-    sha256_file,
     vocab_sha256,
     write_checkpoint,
     write_json,
@@ -123,8 +122,8 @@ def _resolve_checkpoint(path: str) -> str:
 
 def _pretrained(
     args, cfg: RunConfig, series: SnapshotSeries
-) -> tuple[np.ndarray, PretrainResult | None, str | None]:
-    """The pre-trained table, with its training result or the checkpoint it came from.
+) -> tuple[np.ndarray, PretrainResult | None]:
+    """The pre-trained table, with its training result when this run trained it.
 
     With `--pretrained`, the table is read from that checkpoint, which must
     have been written for this log's vocabulary; otherwise it is trained
@@ -140,7 +139,7 @@ def _pretrained(
             no_temporal=cfg.no_temporal,
             init_std=cfg.init_std,
         )
-        return trained.embeddings, trained, None
+        return trained.embeddings, trained
     ckpt_dir = _resolve_checkpoint(args.pretrained)
     embeddings, meta, _ = read_checkpoint(ckpt_dir)
     if meta["d"] != cfg.d:
@@ -151,16 +150,37 @@ def _pretrained(
             f"checkpoint {ckpt_dir} was written for another log: its vocabulary "
             f"digest is {meta['vocab_sha256']}, this log's is {digest}"
         )
-    return embeddings, None, ckpt_dir
+    return embeddings, None
 
 
 def _write_run_outputs(
-    args, cfg: RunConfig, series: SnapshotSeries, result: DynamicResult | None = None
+    args,
+    cfg: RunConfig,
+    series: SnapshotSeries,
+    trained: PretrainResult | None,
+    result: DynamicResult | None = None,
 ) -> None:
-    """Create the run directory with its manifest and segments, plus `result`'s metrics."""
+    """Create the run directory: manifest, segments, a table this run trained, `result`'s metrics.
+
+    A run that read its table with `--pretrained` names that checkpoint's
+    sidecar among the manifest's inputs instead of writing the table again.
+    """
+    inputs = [args.data]
+    if getattr(args, "pretrained", None):
+        inputs.append(os.path.join(_resolve_checkpoint(args.pretrained), "checkpoint.json"))
     os.makedirs(args.out, exist_ok=True)
-    write_manifest(args.out, args.command, cfg, [args.data])
+    write_manifest(args.out, args.command, cfg, inputs)
     write_json(os.path.join(args.out, "segments.json"), series.manifest())
+    if trained is not None:
+        write_json(os.path.join(args.out, "pretrain_log.json"), trained.log)
+        write_checkpoint(
+            os.path.join(args.out, "checkpoints", "pretrain"),
+            trained.embeddings,
+            series.vocab,
+            kind="pretrain",
+            optimizer_step=trained.optimizer_steps,
+            extra={"best_epoch": trained.best_epoch, "best_recall": trained.best_recall},
+        )
     if result is None:
         return
     write_json(
@@ -172,22 +192,6 @@ def _write_run_outputs(
     os.makedirs(per_user, exist_ok=True)
     for idx, cycle in enumerate(result.cycles, start=1):
         write_user_metrics_csv(os.path.join(per_user, f"cycle_{idx:03d}.csv"), cycle.report)
-
-
-def _write_pretrain(
-    out: str, vocab: Vocabulary, x_p: np.ndarray, trained: PretrainResult | None
-) -> None:
-    """Write the pre-training log and checkpoint; a table read from a checkpoint has no log."""
-    write_json(os.path.join(out, "pretrain_log.json"), trained.log if trained is not None else [])
-    progress = {}
-    if trained is not None:
-        progress = {
-            "optimizer_step": trained.optimizer_steps,
-            "extra": {"best_epoch": trained.best_epoch, "best_recall": trained.best_recall},
-        }
-    write_checkpoint(
-        os.path.join(out, "checkpoints", "pretrain"), x_p, vocab, kind="pretrain", **progress
-    )
 
 
 def _write_cycle_checkpoint(
@@ -206,9 +210,8 @@ def _write_cycle_checkpoint(
 
 def _cmd_pretrain(args, cfg: RunConfig) -> int:
     series = _load_series(args.data, cfg)
-    x_p, trained, _ = _pretrained(args, cfg, series)
-    _write_run_outputs(args, cfg, series)
-    _write_pretrain(args.out, series.vocab, x_p, trained)
+    _, trained = _pretrained(args, cfg, series)
+    _write_run_outputs(args, cfg, series, trained)
     log.info(
         "pre-training done: best epoch %d, held-out recall %.4f",
         trained.best_epoch,
@@ -219,10 +222,9 @@ def _cmd_pretrain(args, cfg: RunConfig) -> int:
 
 def _cmd_run_dynamic(args, cfg: RunConfig) -> int:
     series = _load_series(args.data, cfg)
-    x_p, trained, _ = _pretrained(args, cfg, series)
+    x_p, trained = _pretrained(args, cfg, series)
     result = run_dynamic(series, cfg, x_p)
-    _write_run_outputs(args, cfg, series, result)
-    _write_pretrain(args.out, series.vocab, x_p, trained)
+    _write_run_outputs(args, cfg, series, trained, result)
     for idx, cycle in enumerate(result.cycles, start=1):
         _write_cycle_checkpoint(args.out, idx, cycle, series.vocab)
     summary = result.summary()
@@ -248,15 +250,10 @@ def _cmd_finetune(args, cfg: RunConfig) -> int:
         snapshots=series.snapshots[: n + 1],
         boundaries=series.boundaries[: n + 1],
     )
-    x_p, _, ckpt_dir = _pretrained(args, cfg, series)
+    x_p, trained = _pretrained(args, cfg, series)
     result = run_dynamic(truncated, cfg, x_p)
-    _write_run_outputs(args, cfg, truncated, result)
-    extra = {"snapshot": n}
-    if ckpt_dir is not None:
-        extra["upstream_checkpoint_sha256"] = sha256_file(
-            os.path.join(ckpt_dir, "checkpoint.json")
-        )
-    _write_cycle_checkpoint(args.out, n, result.cycles[-1], series.vocab, extra)
+    _write_run_outputs(args, cfg, truncated, trained, result)
+    _write_cycle_checkpoint(args.out, n, result.cycles[-1], series.vocab, {"snapshot": n})
     log.info(
         "fine-tuned through snapshot %d: recall %.4f on snapshot %d",
         n,
@@ -268,9 +265,9 @@ def _cmd_finetune(args, cfg: RunConfig) -> int:
 
 def _cmd_evaluate(args, cfg: RunConfig) -> int:
     series = _load_series(args.data, cfg)
-    x_p, _, _ = _pretrained(args, cfg, series)
+    x_p, _ = _pretrained(args, cfg, series)
     result = run_frozen(series, cfg, x_p)
-    _write_run_outputs(args, cfg, series, result)
+    _write_run_outputs(args, cfg, series, None, result)
     summary = result.summary()
     log.info(
         "frozen evaluation done: %d cycles, macro recall %.4f",

@@ -176,17 +176,15 @@ def run_dynamic(series: SnapshotSeries, cfg: RunConfig, pretrained: np.ndarray) 
     _check_shape(series, cfg, pretrained)
     result = DynamicResult()
     n_users, n_items = series.n_users, series.n_items
-    window: deque[np.ndarray] = deque(maxlen=cfg.omega)  # newest first
+    # newest first; the ablation keeps no history, so every cycle starts from `pretrained`
+    window: deque[np.ndarray] = deque(maxlen=0 if cfg.no_interp_update else cfg.omega)
     seen = series.pretrain.keys
 
     for k in range(series.n_snapshots - 1):
         train_snapshot = series.snapshots[k]
         warning = None
 
-        if cfg.no_interp_update:
-            x_init = pretrained.copy()
-        else:
-            x_init = interpolative_init(pretrained, window)
+        x_init = interpolative_init(pretrained, window)
 
         if cfg.no_prompt_tuning:
             x_n0 = x_init

@@ -1,27 +1,32 @@
-"""Bitwise canaries: pre-training, gate tuning, evaluation and the dynamic run.
+"""Bitwise canaries: pre-training, gate tuning, evaluation, the dynamic run and the CLI's run trees.
 
 Tier-1 otherwise compares runs of the same code with each other, or with
 oracles that round differently, so a change that moves the numeric path of
 `pretrain`, `finetune`, `evaluate_users` or `run_dynamic` by one ulp would
 pass it. Here the resulting tables, gate, epoch losses and metrics are hashed and
 compared with digests recorded from an earlier version of each step. The
+run-tree canary hashes every file the commands write, so it also pins the
+bytes of every writer: JSON layout, CSV floats and checkpoint sidecars. The
 digests assume IEEE-754 doubles and the BLAS this suite runs on; a different
 BLAS kernel may round its matrix products differently.
 """
 from __future__ import annotations
 
 import hashlib
+import os
 
 import numpy as np
 
 import dynrec.evaluation as evaluation
+from dynrec.artifacts import sha256_file
+from dynrec.cli import main
 from dynrec.config import RunConfig
 from dynrec.data import build_graph, segment_snapshots
 from dynrec.dynamics import run_dynamic
 from dynrec.evaluation import evaluate_users, pair_keys
 from dynrec.prompt import finetune
 from dynrec.rng import seed_stream
-from dynrec.synthetic import drift_series
+from dynrec.synthetic import drift_series, write_tsv
 from dynrec.training import TrainConfig, pretrain
 
 TAU = 6 * 3600.0
@@ -180,3 +185,119 @@ def test_run_dynamic_outputs_match_recorded_digests():
         "last.embeddings": _digest(result.cycles[-1].embeddings),
     }
     assert got == EXPECTED_DYNAMIC
+
+
+EXPECTED_RUN_TREES = {
+    "dynamic-pre/checkpoints/snapshot_001/checkpoint.json": "6d31328bf1e7458367d70cc90c78f5d759981e29a29e5aee99463a5f3dd08006",
+    "dynamic-pre/checkpoints/snapshot_001/embeddings.npy": "afc9e4b4008e9af6f49a1dd89a8b59e083d56e894f6dc8d32b5c7bd91ddd9c48",
+    "dynamic-pre/checkpoints/snapshot_001/gate_b.npy": "e3a706ad94b1c83c06b2aba33ce3f760f88e55338e48e36129de7c0102a190d1",
+    "dynamic-pre/checkpoints/snapshot_001/gate_w.npy": "73ddb47409a6cb082af6fad658bd671980877ec201ad2d78253c4e0c6d0a962c",
+    "dynamic-pre/checkpoints/snapshot_002/checkpoint.json": "29eb89148d03c8164714b2c9c4b4f45071819892574f733f3361eff24fd389fd",
+    "dynamic-pre/checkpoints/snapshot_002/embeddings.npy": "9ee77a630d717317383f86f043aefba0a7f80abe3d6800538ac14e7fb55096e5",
+    "dynamic-pre/checkpoints/snapshot_002/gate_b.npy": "898b72ad4fdb29cf85983ed4217b3c798ae1f216ee42f6616ba61c6a1eb285f6",
+    "dynamic-pre/checkpoints/snapshot_002/gate_w.npy": "09ff0792bba71c15453e632d1e3ca77cdf2e855a6d85c0ecec2ff3d362cec0ea",
+    "dynamic-pre/manifest.json": "8b7deb295cf49b251f7a3747d5b9eb0b78d3c4d5baecd1bbd8814c343dd45dce",
+    "dynamic-pre/metrics.json": "5bf924341a93caf0450223976b771a80171c15635999494b1c85a7cf403e4cb9",
+    "dynamic-pre/per_user/cycle_001.csv": "77d383a6cac7b309734a3a959b555f1499db10cebf6c689185a2523f13ece66f",
+    "dynamic-pre/per_user/cycle_002.csv": "06f12fd2f769b33d292bf4b8a908285effe355cc29cd1e367ed3f49252079877",
+    "dynamic-pre/segments.json": "d4898ac9d0191e5b383055ffcbf469de48e7c59d805093b1815ac5c337783f18",
+    "dynamic-pre/summary.csv": "ecf416a4ffddf4efb7cbd7371d90f99f797aaba6113257e93476a1be7b56acb7",
+    "dynamic/checkpoints/pretrain/checkpoint.json": "678ace234d95da165df3732c6913a1310f2bae57fc329e30539d3b9f3c57fdd8",
+    "dynamic/checkpoints/pretrain/embeddings.npy": "0d3f60ec9a304711472eddcfbe14cb8ac7263ca6820bba003b9a39c340f65784",
+    "dynamic/checkpoints/snapshot_001/checkpoint.json": "6d31328bf1e7458367d70cc90c78f5d759981e29a29e5aee99463a5f3dd08006",
+    "dynamic/checkpoints/snapshot_001/embeddings.npy": "afc9e4b4008e9af6f49a1dd89a8b59e083d56e894f6dc8d32b5c7bd91ddd9c48",
+    "dynamic/checkpoints/snapshot_001/gate_b.npy": "e3a706ad94b1c83c06b2aba33ce3f760f88e55338e48e36129de7c0102a190d1",
+    "dynamic/checkpoints/snapshot_001/gate_w.npy": "73ddb47409a6cb082af6fad658bd671980877ec201ad2d78253c4e0c6d0a962c",
+    "dynamic/checkpoints/snapshot_002/checkpoint.json": "29eb89148d03c8164714b2c9c4b4f45071819892574f733f3361eff24fd389fd",
+    "dynamic/checkpoints/snapshot_002/embeddings.npy": "9ee77a630d717317383f86f043aefba0a7f80abe3d6800538ac14e7fb55096e5",
+    "dynamic/checkpoints/snapshot_002/gate_b.npy": "898b72ad4fdb29cf85983ed4217b3c798ae1f216ee42f6616ba61c6a1eb285f6",
+    "dynamic/checkpoints/snapshot_002/gate_w.npy": "09ff0792bba71c15453e632d1e3ca77cdf2e855a6d85c0ecec2ff3d362cec0ea",
+    "dynamic/manifest.json": "b152dd7487969d779ee6f398343a0e7062212476892326ee5f27a38e78ba6238",
+    "dynamic/metrics.json": "5bf924341a93caf0450223976b771a80171c15635999494b1c85a7cf403e4cb9",
+    "dynamic/per_user/cycle_001.csv": "77d383a6cac7b309734a3a959b555f1499db10cebf6c689185a2523f13ece66f",
+    "dynamic/per_user/cycle_002.csv": "06f12fd2f769b33d292bf4b8a908285effe355cc29cd1e367ed3f49252079877",
+    "dynamic/pretrain_log.json": "3ee73f7628a09a5d3f7659b4bea6d845115a05c69d37b73c80c5f52cc936edd5",
+    "dynamic/segments.json": "d4898ac9d0191e5b383055ffcbf469de48e7c59d805093b1815ac5c337783f18",
+    "dynamic/summary.csv": "ecf416a4ffddf4efb7cbd7371d90f99f797aaba6113257e93476a1be7b56acb7",
+    "evaluate/manifest.json": "138b24afdd2e24170ceb30c68087f9db170932ca27ca7e7b9d4b8e2d9b63423e",
+    "evaluate/metrics.json": "0562569b0ddd64ffea6d993a2fc9d0b415f7452e61dfbefe2a0abc1145f08c11",
+    "evaluate/per_user/cycle_001.csv": "75328ea6555a6c60d61939d4bebe4e8d8b05b20e3c2a7f5e6972363623c17304",
+    "evaluate/per_user/cycle_002.csv": "23dba8d9d589e4813c2236a05fb9aa615d2246b451973be3f385cb5069a2c3ac",
+    "evaluate/segments.json": "d4898ac9d0191e5b383055ffcbf469de48e7c59d805093b1815ac5c337783f18",
+    "evaluate/summary.csv": "fe8a79ee3c798aab70ff1a278091a7d2b8913ba83bf7144ca87bc725c3115aa6",
+    "finetune-pre/checkpoints/snapshot_001/checkpoint.json": "b453f69030778030d0041499ec4859e8a97b0c3b305ffeb0ca58d57f42c8a7ff",
+    "finetune-pre/checkpoints/snapshot_001/embeddings.npy": "afc9e4b4008e9af6f49a1dd89a8b59e083d56e894f6dc8d32b5c7bd91ddd9c48",
+    "finetune-pre/checkpoints/snapshot_001/gate_b.npy": "e3a706ad94b1c83c06b2aba33ce3f760f88e55338e48e36129de7c0102a190d1",
+    "finetune-pre/checkpoints/snapshot_001/gate_w.npy": "73ddb47409a6cb082af6fad658bd671980877ec201ad2d78253c4e0c6d0a962c",
+    "finetune-pre/manifest.json": "75aa5e924f5295e8affc245c5b689bd8a318dbe9e8b9e521986d27fc9d92c353",
+    "finetune-pre/metrics.json": "6cc79354294d61b2c021dd12bdb23c3a54b5879f4e070ce6eef8b104c22842b0",
+    "finetune-pre/per_user/cycle_001.csv": "77d383a6cac7b309734a3a959b555f1499db10cebf6c689185a2523f13ece66f",
+    "finetune-pre/segments.json": "38ee377c0837daf73472d6b5dae5ff199b72002340d7d2fcfd76289dba12d137",
+    "finetune-pre/summary.csv": "4e5f3386d0b3937a19a1ba911cd286ee8e9c3ddd0f27b230f8844bd002715df3",
+    "finetune/checkpoints/pretrain/checkpoint.json": "678ace234d95da165df3732c6913a1310f2bae57fc329e30539d3b9f3c57fdd8",
+    "finetune/checkpoints/pretrain/embeddings.npy": "0d3f60ec9a304711472eddcfbe14cb8ac7263ca6820bba003b9a39c340f65784",
+    "finetune/checkpoints/snapshot_001/checkpoint.json": "b453f69030778030d0041499ec4859e8a97b0c3b305ffeb0ca58d57f42c8a7ff",
+    "finetune/checkpoints/snapshot_001/embeddings.npy": "afc9e4b4008e9af6f49a1dd89a8b59e083d56e894f6dc8d32b5c7bd91ddd9c48",
+    "finetune/checkpoints/snapshot_001/gate_b.npy": "e3a706ad94b1c83c06b2aba33ce3f760f88e55338e48e36129de7c0102a190d1",
+    "finetune/checkpoints/snapshot_001/gate_w.npy": "73ddb47409a6cb082af6fad658bd671980877ec201ad2d78253c4e0c6d0a962c",
+    "finetune/manifest.json": "a08bd8145cb7ca3b54b2aad22b5403f953b2fae3fb5d9eb04dd9c71d2fb0f5d1",
+    "finetune/metrics.json": "6cc79354294d61b2c021dd12bdb23c3a54b5879f4e070ce6eef8b104c22842b0",
+    "finetune/per_user/cycle_001.csv": "77d383a6cac7b309734a3a959b555f1499db10cebf6c689185a2523f13ece66f",
+    "finetune/pretrain_log.json": "3ee73f7628a09a5d3f7659b4bea6d845115a05c69d37b73c80c5f52cc936edd5",
+    "finetune/segments.json": "38ee377c0837daf73472d6b5dae5ff199b72002340d7d2fcfd76289dba12d137",
+    "finetune/summary.csv": "4e5f3386d0b3937a19a1ba911cd286ee8e9c3ddd0f27b230f8844bd002715df3",
+    "pretrain/checkpoints/pretrain/checkpoint.json": "678ace234d95da165df3732c6913a1310f2bae57fc329e30539d3b9f3c57fdd8",
+    "pretrain/checkpoints/pretrain/embeddings.npy": "0d3f60ec9a304711472eddcfbe14cb8ac7263ca6820bba003b9a39c340f65784",
+    "pretrain/manifest.json": "e52ce007f3e902c1abb8ccb0557c9d7abccbb1c32ca6a0ca94a589e18527225e",
+    "pretrain/pretrain_log.json": "3ee73f7628a09a5d3f7659b4bea6d845115a05c69d37b73c80c5f52cc936edd5",
+    "pretrain/segments.json": "d4898ac9d0191e5b383055ffcbf469de48e7c59d805093b1815ac5c337783f18",
+}
+
+
+def _tree_digests(root: str) -> dict[str, str]:
+    """SHA-256 of every file under `root`, keyed by its relative path with '/' separators."""
+    got = {}
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            got[os.path.relpath(path).replace(os.sep, "/")] = sha256_file(path)
+    return got
+
+
+def test_cli_run_trees_match_recorded_digests(tmp_path, monkeypatch):
+    """Every file that each command writes, byte for byte.
+
+    The commands run from a fixed working directory with relative paths,
+    because `manifest.json` records the paths of its inputs.
+    """
+    monkeypatch.chdir(tmp_path)
+    log = drift_series(
+        n_blocks=3,
+        users_per_block=3,
+        items_per_block=3,
+        pretrain_days=2,
+        snapshot_days=3,
+        stale_per_day=2,
+        lead_per_day=1,
+        seed=0,
+    )
+    write_tsv("log.tsv", log)
+    settings = [
+        "--quiet", "--set", "d=4", "--set", "layers=2", "--set", "tau_hours=6",
+        "--set", "learning_rate=0.005", "--set", "batch_size=16", "--set", "max_epochs=2",
+        "--set", "patience=2", "--set", "finetune_epochs=2", "--set", "pretrain_span_hours=48",
+        "--set", "granularity_hours=24", "--set", "k=3",
+    ]
+    commands = [
+        ["pretrain", "--out", "pretrain"],
+        ["run-dynamic", "--out", "dynamic"],
+        ["run-dynamic", "--out", "dynamic-pre", "--pretrained", "pretrain"],
+        ["finetune", "--out", "finetune", "--snapshot", "1"],
+        ["finetune", "--out", "finetune-pre", "--snapshot", "1", "--pretrained", "pretrain"],
+        ["evaluate", "--out", "evaluate", "--pretrained", "pretrain"],
+    ]
+    got = {}
+    for command in commands:
+        assert main([*command, "--data", "log.tsv", *settings]) == 0, command
+        got.update(_tree_digests(command[2]))
+    assert got == EXPECTED_RUN_TREES

@@ -14,6 +14,7 @@ import pytest
 from dynrec.artifacts import (
     read_checkpoint,
     read_json,
+    sha256_file,
     sha256_text,
     stable_json,
     vocab_sha256,
@@ -281,13 +282,26 @@ def test_pretrain_writes_expected_artifacts(pretrain_run):
     assert meta["best_epoch"] >= 1
 
 
-def test_run_dynamic_from_checkpoint(cli_data, pretrain_run, tmp_path):
-    out = str(tmp_path / "dyn")
-    code = main(
-        ["run-dynamic", "--data", cli_data, "--out", out, "--quiet",
-         "--pretrained", pretrain_run, *CLI_SETTINGS]
-    )
+@pytest.fixture(scope="module")
+def dynamic_run(cli_data, pretrain_run, tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("dynamic-run") / "dyn")
+    code = main(["run-dynamic", "--data", cli_data, "--out", out, "--quiet",
+                 "--pretrained", pretrain_run, *CLI_SETTINGS])
     assert code == 0
+    return out
+
+
+def _assert_manifest_names_the_sidecar(out, pretrain_run):
+    # a run that read its table names the sidecar it read, and writes no table of its own
+    sidecar = os.path.join(pretrain_run, "checkpoints", "pretrain", "checkpoint.json")
+    inputs = read_json(os.path.join(out, "manifest.json"))["inputs"]
+    assert inputs[1] == {"path": sidecar, "sha256": sha256_file(sidecar)}
+    assert not os.path.exists(os.path.join(out, "pretrain_log.json"))
+    assert not os.path.exists(os.path.join(out, "checkpoints", "pretrain"))
+
+
+def test_run_dynamic_from_checkpoint(dynamic_run, pretrain_run):
+    out = dynamic_run
     metrics = read_json(os.path.join(out, "metrics.json"))
     assert len(metrics["records"]) == 2
     assert os.path.isfile(os.path.join(out, "summary.csv"))
@@ -296,25 +310,27 @@ def test_run_dynamic_from_checkpoint(cli_data, pretrain_run, tmp_path):
     snap = os.path.join(out, "checkpoints", "snapshot_001")
     _, meta, gate = read_checkpoint(snap)
     assert meta["kind"] == "finetune" and gate is not None
+    _assert_manifest_names_the_sidecar(out, pretrain_run)
 
 
-def test_run_dynamic_without_checkpoint_matches(cli_data, pretrain_run, tmp_path):
-    # pre-training inside run-dynamic reproduces the standalone checkpoint and
-    # writes the same pre-training artefacts as `dynrec pretrain`
-    with_ckpt = str(tmp_path / "a")
+def test_run_dynamic_without_checkpoint_matches(cli_data, pretrain_run, dynamic_run, tmp_path):
+    # pre-training inside run-dynamic or finetune reproduces the standalone
+    # checkpoint and writes the same pre-training artefacts as `dynrec pretrain`
     scratch = str(tmp_path / "b")
-    assert main(["run-dynamic", "--data", cli_data, "--out", with_ckpt, "--quiet",
-                 "--pretrained", pretrain_run, *CLI_SETTINGS]) == 0
+    tuned = str(tmp_path / "ft")
     assert main(["run-dynamic", "--data", cli_data, "--out", scratch, "--quiet",
                  *CLI_SETTINGS]) == 0
-    a = Path(with_ckpt, "metrics.json").read_bytes()
+    assert main(["finetune", "--data", cli_data, "--out", tuned, "--quiet",
+                 "--snapshot", "1", *CLI_SETTINGS]) == 0
+    a = Path(dynamic_run, "metrics.json").read_bytes()
     b = Path(scratch, "metrics.json").read_bytes()
     assert a == b
     ckpt = os.path.join("checkpoints", "pretrain")
     names = sorted(os.listdir(os.path.join(pretrain_run, ckpt)))
-    assert sorted(os.listdir(os.path.join(scratch, ckpt))) == names
-    for name in ["pretrain_log.json"] + [os.path.join(ckpt, n) for n in names]:
-        assert Path(scratch, name).read_bytes() == Path(pretrain_run, name).read_bytes(), name
+    for out in (scratch, tuned):
+        assert sorted(os.listdir(os.path.join(out, ckpt))) == names
+        for name in ["pretrain_log.json"] + [os.path.join(ckpt, n) for n in names]:
+            assert Path(out, name).read_bytes() == Path(pretrain_run, name).read_bytes(), name
 
 
 def test_finetune_snapshot_command(cli_data, pretrain_run, tmp_path):
@@ -326,7 +342,23 @@ def test_finetune_snapshot_command(cli_data, pretrain_run, tmp_path):
     assert code == 0
     _, meta, gate = read_checkpoint(os.path.join(out, "checkpoints", "snapshot_001"))
     assert meta["snapshot"] == 1 and gate is not None
-    assert "upstream_checkpoint_sha256" in meta
+    _assert_manifest_names_the_sidecar(out, pretrain_run)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["run-dynamic"], ["finetune", "--snapshot", "1"], ["evaluate"]],
+    ids=["run-dynamic", "finetune", "evaluate"],
+)
+def test_pretrained_exits_1_on_a_tree_that_read_its_table(
+    cli_data, dynamic_run, tmp_path, caplog, command
+):
+    # a run-dynamic --pretrained tree holds no pre-training checkpoint of its own
+    out = tmp_path / "out"
+    assert main([*command, "--data", cli_data, "--out", str(out), "--quiet",
+                 "--pretrained", dynamic_run, *CLI_SETTINGS]) == 1
+    assert "no checkpoint.json" in caplog.text
+    assert not out.exists()
 
 
 def test_finetune_rejects_out_of_range_snapshot(cli_data, pretrain_run, tmp_path):
@@ -347,6 +379,7 @@ def test_evaluate_frozen_baseline(cli_data, pretrain_run, tmp_path):
     assert code == 0
     metrics = read_json(os.path.join(out, "metrics.json"))
     assert all(rec["epochs"] == 0 for rec in metrics["records"])
+    _assert_manifest_names_the_sidecar(out, pretrain_run)
 
 
 def _relabelled(edges):
