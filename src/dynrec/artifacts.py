@@ -124,7 +124,7 @@ def read_checkpoint(ckpt_dir: str) -> tuple[np.ndarray, dict, GateParams | None]
     sidecar disagrees with the arrays.
     """
     meta = read_json(os.path.join(ckpt_dir, "checkpoint.json"))
-    for key in ("d", "n_users", "n_items", "rows", "has_gate", "sha256", "vocab_sha256"):
+    for key in ("kind", "d", "n_users", "n_items", "rows", "has_gate", "sha256", "vocab_sha256"):
         if key not in meta:
             raise DataError(f"checkpoint sidecar in {ckpt_dir} has no {key!r} key")
     arrays = {}

@@ -126,8 +126,8 @@ def _pretrained(
     """The pre-trained table, with its training result when this run trained it.
 
     With `--pretrained`, the table is read from that checkpoint, which must
-    have been written for this log's vocabulary; otherwise it is trained
-    on the log's pre-training graph.
+    be of kind "pretrain" and written for this log's vocabulary; otherwise
+    it is trained on the log's pre-training graph.
     """
     if not getattr(args, "pretrained", None):
         trained = pretrain(
@@ -142,6 +142,8 @@ def _pretrained(
         return trained.embeddings, trained
     ckpt_dir = _resolve_checkpoint(args.pretrained)
     embeddings, meta, _ = read_checkpoint(ckpt_dir)
+    if meta["kind"] != "pretrain":
+        raise DataError(f"checkpoint {ckpt_dir} is a {meta['kind']!r} checkpoint, not 'pretrain'")
     if meta["d"] != cfg.d:
         raise ValueError(f"checkpoint dimension {meta['d']} does not match config d={cfg.d}")
     digest = vocab_sha256(series.vocab)
@@ -153,14 +155,10 @@ def _pretrained(
     return embeddings, None
 
 
-def _write_run_outputs(
-    args,
-    cfg: RunConfig,
-    series: SnapshotSeries,
-    trained: PretrainResult | None,
-    result: DynamicResult | None = None,
+def _start_run_tree(
+    args, cfg: RunConfig, series: SnapshotSeries, trained: PretrainResult | None
 ) -> None:
-    """Create the run directory: manifest, segments, a table this run trained, `result`'s metrics.
+    """Create the run directory: manifest, segments and the table this run trained.
 
     A run that read its table with `--pretrained` names that checkpoint's
     sidecar among the manifest's inputs instead of writing the table again.
@@ -181,37 +179,51 @@ def _write_run_outputs(
             optimizer_step=trained.optimizer_steps,
             extra={"best_epoch": trained.best_epoch, "best_recall": trained.best_recall},
         )
-    if result is None:
+
+
+def _write_cycle(args, vocab: Vocabulary, n: int, cycle: CycleArtifacts) -> None:
+    """Write cycle n's per-user metrics and, where the command keeps it, its table.
+
+    `run-dynamic` keeps every cycle's table, `finetune` only snapshot N's,
+    and `evaluate` none, since it ranks the pre-trained table unchanged.
+    """
+    write_user_metrics_csv(os.path.join(args.out, "per_user", f"cycle_{n:03d}.csv"), cycle.report)
+    if args.command == "evaluate" or (args.command == "finetune" and n != args.snapshot):
         return
-    write_json(
-        os.path.join(args.out, "metrics.json"),
-        {"records": result.records, "summary": result.summary()},
-    )
-    write_summary_csv(os.path.join(args.out, "summary.csv"), result.records)
-    per_user = os.path.join(args.out, "per_user")
-    os.makedirs(per_user, exist_ok=True)
-    for idx, cycle in enumerate(result.cycles, start=1):
-        write_user_metrics_csv(os.path.join(per_user, f"cycle_{idx:03d}.csv"), cycle.report)
-
-
-def _write_cycle_checkpoint(
-    out: str, n: int, cycle: CycleArtifacts, vocab: Vocabulary, extra: dict | None = None
-) -> None:
     write_checkpoint(
-        os.path.join(out, "checkpoints", f"snapshot_{n:03d}"),
+        os.path.join(args.out, "checkpoints", f"snapshot_{n:03d}"),
         cycle.embeddings,
         vocab,
         kind="finetune",
         optimizer_step=cycle.optimizer_steps,
         gate=cycle.gate,
-        extra=extra,
+        extra={"snapshot": n} if args.command == "finetune" else None,
     )
+
+
+def _run_protocol(args, cfg: RunConfig, series: SnapshotSeries, protocol) -> DynamicResult:
+    """Run `protocol` (`run_dynamic` or `run_frozen`) into a run tree, one cycle at a time.
+
+    Each cycle's files are written as it ends; `metrics.json` and
+    `summary.csv` are written last, so a run that fails mid-way leaves the
+    finished cycles' files and no metrics.
+    """
+    x_p, trained = _pretrained(args, cfg, series)
+    _start_run_tree(args, cfg, series, trained)
+    os.makedirs(os.path.join(args.out, "per_user"), exist_ok=True)
+    result = protocol(series, cfg, x_p, lambda n, cycle: _write_cycle(args, series.vocab, n, cycle))
+    write_json(
+        os.path.join(args.out, "metrics.json"),
+        {"records": result.records, "summary": result.summary()},
+    )
+    write_summary_csv(os.path.join(args.out, "summary.csv"), result.records)
+    return result
 
 
 def _cmd_pretrain(args, cfg: RunConfig) -> int:
     series = _load_series(args.data, cfg)
     _, trained = _pretrained(args, cfg, series)
-    _write_run_outputs(args, cfg, series, trained)
+    _start_run_tree(args, cfg, series, trained)
     log.info(
         "pre-training done: best epoch %d, held-out recall %.4f",
         trained.best_epoch,
@@ -222,12 +234,7 @@ def _cmd_pretrain(args, cfg: RunConfig) -> int:
 
 def _cmd_run_dynamic(args, cfg: RunConfig) -> int:
     series = _load_series(args.data, cfg)
-    x_p, trained = _pretrained(args, cfg, series)
-    result = run_dynamic(series, cfg, x_p)
-    _write_run_outputs(args, cfg, series, trained, result)
-    for idx, cycle in enumerate(result.cycles, start=1):
-        _write_cycle_checkpoint(args.out, idx, cycle, series.vocab)
-    summary = result.summary()
+    summary = _run_protocol(args, cfg, series, run_dynamic).summary()
     log.info(
         "dynamic run done: %d cycles, macro recall %.4f, macro ndcg %.4f",
         summary["n_cycles"],
@@ -250,10 +257,7 @@ def _cmd_finetune(args, cfg: RunConfig) -> int:
         snapshots=series.snapshots[: n + 1],
         boundaries=series.boundaries[: n + 1],
     )
-    x_p, trained = _pretrained(args, cfg, series)
-    result = run_dynamic(truncated, cfg, x_p)
-    _write_run_outputs(args, cfg, truncated, trained, result)
-    _write_cycle_checkpoint(args.out, n, result.cycles[-1], series.vocab, {"snapshot": n})
+    result = _run_protocol(args, cfg, truncated, run_dynamic)
     log.info(
         "fine-tuned through snapshot %d: recall %.4f on snapshot %d",
         n,
@@ -265,10 +269,7 @@ def _cmd_finetune(args, cfg: RunConfig) -> int:
 
 def _cmd_evaluate(args, cfg: RunConfig) -> int:
     series = _load_series(args.data, cfg)
-    x_p, _ = _pretrained(args, cfg, series)
-    result = run_frozen(series, cfg, x_p)
-    _write_run_outputs(args, cfg, series, None, result)
-    summary = result.summary()
+    summary = _run_protocol(args, cfg, series, run_frozen).summary()
     log.info(
         "frozen evaluation done: %d cycles, macro recall %.4f",
         summary["n_cycles"],

@@ -9,6 +9,10 @@ the next snapshot and pushed into the history window.
 `run_frozen` applies the same evaluation schedule to the pre-trained table
 alone and is the no-adaptation baseline every variant is compared against.
 
+A cycle's table and gate go to the caller's `on_cycle` as it ends, and the
+result keeps only records and per-user reports: after its cycle a table
+lives on only in the `omega` history window, whatever the number of cycles.
+
 Both mask and score with (user, item) key arrays (`evaluation.pair_keys`):
 the seen keys grow by each training snapshot, the test snapshot's keys are
 the relevant set, and a user counts as tuned when they have an edge in the
@@ -19,14 +23,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .config import RunConfig
 from .data import DataError, SnapshotSeries, build_graph
 from .evaluation import MetricsReport, evaluate_users, pair_keys
-from .prompt import GateParams, apply_gate, build_prompt_graph, finetune
+from .prompt import FinetuneResult, GateParams, apply_gate, build_prompt_graph, finetune
 from .propagation import build_weights, forward
 from .rng import seed_stream
 
@@ -51,7 +55,7 @@ def interpolative_init(x_p: np.ndarray, window: Sequence[np.ndarray]) -> np.ndar
 
 @dataclass
 class CycleArtifacts:
-    """Everything a cycle produced that later stages may want to persist."""
+    """Everything a cycle produced that a caller may want to persist."""
 
     embeddings: np.ndarray
     gate: GateParams | None
@@ -59,12 +63,16 @@ class CycleArtifacts:
     optimizer_steps: int = 0
 
 
+# called with the 1-based cycle number as each cycle ends
+OnCycle = Callable[[int, CycleArtifacts], None]
+
+
 @dataclass
 class DynamicResult:
-    """Per-cycle records plus pooled summary metrics for one protocol run."""
+    """Per-cycle records and per-user reports, with pooled summary metrics."""
 
     records: list[dict] = field(default_factory=list)
-    cycles: list[CycleArtifacts] = field(default_factory=list)
+    reports: list[MetricsReport] = field(default_factory=list)
 
     def macro(self) -> tuple[float, float]:
         """Mean of per-cycle means, over cycles that evaluated anyone."""
@@ -78,8 +86,8 @@ class DynamicResult:
 
     def micro(self) -> tuple[float, float]:
         """Mean over all (cycle, user) evaluations pooled together."""
-        recalls = np.concatenate([np.empty(0)] + [c.report.recalls for c in self.cycles])
-        ndcgs = np.concatenate([np.empty(0)] + [c.report.ndcgs for c in self.cycles])
+        recalls = np.concatenate([np.empty(0)] + [r.recalls for r in self.reports])
+        ndcgs = np.concatenate([np.empty(0)] + [r.ndcgs for r in self.reports])
         if not recalls.size:
             return 0.0, 0.0
         return float(np.mean(recalls)), float(np.mean(ndcgs))
@@ -116,13 +124,14 @@ def _evaluate_cycle(
     k: int,
     x: np.ndarray,
     seen: np.ndarray,
-    *,
-    gate: GateParams | None = None,
-    epochs: int = 0,
-    optimizer_steps: int = 0,
+    on_cycle: OnCycle | None,
+    tuning: FinetuneResult | None = None,
     warning: str | None = None,
 ) -> np.ndarray:
-    """Evaluate `x` for cycle k and append its record; returns the grown `seen`.
+    """Evaluate `x` for cycle k, keep its record and report; returns the grown `seen`.
+
+    `tuning` is the cycle's gate tuning, if any ran. The table and gate go
+    to `on_cycle` and are not kept.
 
     Items in training snapshot k become visible before evaluation on
     snapshot k + 1, so their keys join the sorted `seen` first. Snapshot
@@ -145,22 +154,23 @@ def _evaluate_cycle(
         "n_eval_users": report.n_users,
         "recall": report.mean_recall(),
         "ndcg": report.mean_ndcg(),
-        "epochs": epochs,
+        "epochs": len(tuning.log) if tuning else 0,
         "warning": warning,
     }
     for name, mask in (("tuned", tuned), ("untuned", ~tuned)):
         sub = report.subset(mask)
         record[name] = {"n_users": sub.n_users, "recall": sub.mean_recall(), "ndcg": sub.mean_ndcg()}
     result.records.append(record)
-    result.cycles.append(
-        CycleArtifacts(
-            embeddings=x, gate=gate, report=report, optimizer_steps=optimizer_steps
-        )
-    )
+    result.reports.append(report)
+    if on_cycle is not None:
+        gate, steps = (tuning.gate, tuning.optimizer_steps) if tuning else (None, 0)
+        on_cycle(k + 1, CycleArtifacts(x, gate, report, steps))
     return seen
 
 
-def run_dynamic(series: SnapshotSeries, cfg: RunConfig, pretrained: np.ndarray) -> DynamicResult:
+def run_dynamic(
+    series: SnapshotSeries, cfg: RunConfig, pretrained: np.ndarray, on_cycle: OnCycle | None = None
+) -> DynamicResult:
     """Run the full adaptation protocol over consecutive snapshot pairs.
 
     Cycle k trains on snapshot k and evaluates on snapshot k+1; every item a
@@ -171,7 +181,7 @@ def run_dynamic(series: SnapshotSeries, cfg: RunConfig, pretrained: np.ndarray) 
     snapshot is empty skip adaptation, evaluate the re-initialized table,
     and carry a warning in their record. `pretrained` is the pre-trained
     table, one row per vocabulary node and `cfg.d` columns; a table of
-    another shape raises DataError.
+    another shape raises DataError. Each cycle's artifacts go to `on_cycle`.
     """
     _check_shape(series, cfg, pretrained)
     result = DynamicResult()
@@ -206,9 +216,7 @@ def run_dynamic(series: SnapshotSeries, cfg: RunConfig, pretrained: np.ndarray) 
             )
             del prompt_graph
 
-        gate = None
-        epochs_run = 0
-        opt_steps = 0
+        tuning = None
         if len(train_snapshot) == 0:
             warning = "empty training snapshot; adaptation skipped"
             x_n = x_n0
@@ -218,34 +226,23 @@ def run_dynamic(series: SnapshotSeries, cfg: RunConfig, pretrained: np.ndarray) 
                 weights_n = build_weights(graph_n, cfg.tau_seconds, no_temporal=cfg.no_temporal)
                 x_n = forward(weights_n, x_n0, cfg.layers)
             else:
-                tuned_result = finetune(graph_n, x_n0, cfg, seed_stream(cfg.seed, "finetune", k))
-                x_n = tuned_result.embeddings
-                gate = tuned_result.gate
-                epochs_run = len(tuned_result.log)
-                opt_steps = tuned_result.optimizer_steps
+                tuning = finetune(graph_n, x_n0, cfg, seed_stream(cfg.seed, "finetune", k))
+                x_n = tuning.embeddings
 
-        seen = _evaluate_cycle(
-            result,
-            series,
-            cfg,
-            k,
-            x_n,
-            seen,
-            gate=gate,
-            epochs=epochs_run,
-            optimizer_steps=opt_steps,
-            warning=warning,
-        )
+        seen = _evaluate_cycle(result, series, cfg, k, x_n, seen, on_cycle, tuning, warning)
         window.appendleft(x_n)
     return result
 
 
-def run_frozen(series: SnapshotSeries, cfg: RunConfig, pretrained: np.ndarray) -> DynamicResult:
+def run_frozen(
+    series: SnapshotSeries, cfg: RunConfig, pretrained: np.ndarray, on_cycle: OnCycle | None = None
+) -> DynamicResult:
     """Evaluate the pre-trained table `pretrained` on every test snapshot, unadapted.
 
     Follows the same cycle schedule and masking as `run_dynamic` but ranks
     with one fixed propagation pass over the pre-training graph, so the only
     thing that changes between cycles is which interactions are hidden.
+    Each cycle's artifacts go to `on_cycle`.
     """
     _check_shape(series, cfg, pretrained)
     result = DynamicResult()
@@ -255,5 +252,5 @@ def run_frozen(series: SnapshotSeries, cfg: RunConfig, pretrained: np.ndarray) -
 
     seen = series.pretrain.keys
     for k in range(series.n_snapshots - 1):
-        seen = _evaluate_cycle(result, series, cfg, k, z_p, seen)
+        seen = _evaluate_cycle(result, series, cfg, k, z_p, seen, on_cycle)
     return result

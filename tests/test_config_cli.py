@@ -5,12 +5,14 @@ import dataclasses
 import io
 import json
 import os
+import re
 import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dynrec.dynamics as dynamics
 from dynrec.artifacts import (
     read_checkpoint,
     read_json,
@@ -361,6 +363,55 @@ def test_pretrained_exits_1_on_a_tree_that_read_its_table(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["run-dynamic"], ["finetune", "--snapshot", "1"], ["evaluate"]],
+    ids=["run-dynamic", "finetune", "evaluate"],
+)
+def test_pretrained_exits_1_on_a_snapshot_checkpoint(cli_data, dynamic_run, tmp_path, caplog, command):
+    # a cycle's table is already tuned and propagated: it is not a pre-trained table
+    snapshot = os.path.join(dynamic_run, "checkpoints", "snapshot_001")
+    out = tmp_path / "out"
+    assert main([*command, "--data", cli_data, "--out", str(out), "--quiet",
+                 "--pretrained", snapshot, *CLI_SETTINGS]) == 1
+    assert "is a 'finetune' checkpoint, not 'pretrain'" in caplog.text
+    assert not out.exists()
+
+
+def _files(root: Path) -> list[str]:
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*") if p.is_file())
+
+
+def test_run_dynamic_that_fails_mid_run_keeps_the_finished_cycles(
+    cli_data, tmp_path, caplog, monkeypatch
+):
+    # cycle 3's gate tuning diverges: the tree keeps what was written before
+    # it, byte-equal to a full run's, and no metrics for a run that did not end
+    settings = [*CLI_SETTINGS, "--set", "granularity_hours=12"]
+    full, part = tmp_path / "full", tmp_path / "part"
+    assert main(["run-dynamic", "--data", cli_data, "--out", str(full), "--quiet", *settings]) == 0
+    finetune, calls = dynamics.finetune, []
+
+    def diverge_on_third_call(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise FloatingPointError("training diverged: injected")
+        return finetune(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "finetune", diverge_on_third_call)
+    assert main(["run-dynamic", "--data", cli_data, "--out", str(part), "--quiet", *settings]) == 1
+    assert "training diverged: injected" in caplog.text and len(calls) == 3
+    finished = [
+        name for name in _files(full)
+        if name not in ("metrics.json", "summary.csv") and not re.search(r"_00[3-9]", name)
+    ]
+    assert "per_user/cycle_002.csv" in finished and "checkpoints/snapshot_002/gate_w.npy" in finished
+    assert "checkpoints/pretrain/embeddings.npy" in finished
+    assert _files(part) == finished
+    for name in finished:
+        assert (part / name).read_bytes() == (full / name).read_bytes(), name
+
+
 def test_finetune_rejects_out_of_range_snapshot(cli_data, pretrain_run, tmp_path):
     out = str(tmp_path / "ft-bad")
     code = main(
@@ -400,8 +451,9 @@ def _one_user_fewer(edges):
         (_one_user_fewer, None, "was written for another log"),
         (None, "vocab_sha256", "has no 'vocab_sha256' key"),
         (None, "rows", "has no 'rows' key"),
+        (None, "kind", "has no 'kind' key"),
     ],
-    ids=["relabelled-users", "one-user-fewer", "no-vocab-digest", "no-rows"],
+    ids=["relabelled-users", "one-user-fewer", "no-vocab-digest", "no-rows", "no-kind"],
 )
 def test_evaluate_exits_1_on_a_foreign_or_incomplete_checkpoint(
     cli_data, pretrain_run, tmp_path, caplog, make_log, drop_key, message

@@ -1,6 +1,7 @@
 """History window, interpolated re-initialization and the rolling snapshot protocol."""
 from __future__ import annotations
 
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -54,6 +55,17 @@ def _pretrained(series, cfg: RunConfig) -> np.ndarray:
         series.pretrain, cfg.d, cfg.layers, cfg.tau_seconds, cfg.train_config(),
         no_temporal=cfg.no_temporal, init_std=cfg.init_std,
     ).embeddings
+
+
+def _run_collecting(protocol, series, cfg, pretrained):
+    """Run `protocol`, returning its result and the artifacts it handed to `on_cycle`."""
+    cycles = []
+
+    def keep(n, cycle):
+        assert n == len(cycles) + 1  # 1-based, in cycle order
+        cycles.append(cycle)
+
+    return protocol(series, cfg, pretrained, on_cycle=keep), cycles
 
 
 def _small_series():
@@ -119,7 +131,7 @@ def test_interpolative_init_closed_form_on_random_tables():
 def test_run_dynamic_record_schedule_and_shape():
     series = _small_series()
     cfg = _small_cfg()
-    result = run_dynamic(series, cfg, _pretrained(series, cfg))
+    result, cycles = _run_collecting(run_dynamic, series, cfg, _pretrained(series, cfg))
     assert len(result.records) == series.n_snapshots - 1
     for idx, rec in enumerate(result.records, start=1):
         assert set(rec) == RECORD_KEYS
@@ -128,8 +140,8 @@ def test_run_dynamic_record_schedule_and_shape():
         assert rec["epochs"] == 2
         assert 0.0 <= rec["recall"] <= 1.0 and 0.0 <= rec["ndcg"] <= 1.0
         assert rec["tuned"]["n_users"] + rec["untuned"]["n_users"] == rec["n_eval_users"]
-    assert len(result.cycles) == len(result.records)
-    for cycle in result.cycles:
+    assert len(cycles) == len(result.records)
+    for cycle in cycles:
         assert cycle.embeddings.shape == (series.vocab.n_nodes, 8)
         assert cycle.gate is not None
 
@@ -144,10 +156,10 @@ def test_run_dynamic_matches_the_hand_composed_cycle_pipeline():
     series = segment_snapshots(log, 48 * 3600, 24 * 3600)
     cfg = _small_cfg(no_gate=True, omega=2)
     x_p = np.random.default_rng(5).normal(0.0, 0.1, size=(series.vocab.n_nodes, cfg.d))
-    result = run_dynamic(series, cfg, pretrained=x_p)
-    assert len(result.cycles) == 4 and all(len(s) for s in series.snapshots)
+    _, cycles = _run_collecting(run_dynamic, series, cfg, x_p)
+    assert len(cycles) == 4 and all(len(s) for s in series.snapshots)
     window = []  # newest first, at most omega tables
-    for k, cycle in enumerate(result.cycles):
+    for k, cycle in enumerate(cycles):
         x_init = interpolative_init(x_p, window)
         gate = GateParams.random(cfg.d, seed_stream(cfg.seed, "gate", k))
         prompt_graph = build_prompt_graph(
@@ -166,10 +178,10 @@ def test_run_dynamic_matches_the_hand_composed_cycle_pipeline():
 def test_run_dynamic_is_deterministic():
     series = _small_series()
     cfg = _small_cfg()
-    a = run_dynamic(series, cfg, _pretrained(series, cfg))
-    b = run_dynamic(series, cfg, _pretrained(series, cfg))
+    a, cycles_a = _run_collecting(run_dynamic, series, cfg, _pretrained(series, cfg))
+    b, cycles_b = _run_collecting(run_dynamic, series, cfg, _pretrained(series, cfg))
     assert a.records == b.records
-    for ca, cb in zip(a.cycles, b.cycles):
+    for ca, cb in zip(cycles_a, cycles_b):
         assert ca.embeddings.tobytes() == cb.embeddings.tobytes()
 
 
@@ -190,6 +202,27 @@ def test_run_dynamic_validates_pretrained_shape():
         run_dynamic(series, _small_cfg(), pretrained=np.zeros((3, 8)))
 
 
+def test_run_dynamic_memory_does_not_grow_with_the_number_of_cycles():
+    # a table outlives its cycle only in the omega window, so the same log cut
+    # into four times the cycles must fit in about the same peak
+    log = drift_series(users_per_block=20, items_per_block=10, seed=0)
+    peaks = []
+    for hours, n_cycles in ((6.0, 23), (1.5, 95)):
+        cfg = RunConfig(
+            d=32, layers=2, finetune_epochs=1, pretrain_span_hours=144.0, granularity_hours=hours
+        )
+        series = segment_snapshots(log, cfg.pretrain_span_seconds, cfg.granularity_seconds)
+        x_p = np.random.default_rng(0).normal(0.0, 0.1, size=(series.vocab.n_nodes, cfg.d))
+        tracemalloc.start()
+        try:
+            result = run_dynamic(series, cfg, x_p)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(result.records) == n_cycles
+    assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
 def test_ablation_switches_change_the_metric_trace():
     series = _small_series()
     cfg = _small_cfg()
@@ -204,9 +237,9 @@ def test_ablation_switches_change_the_metric_trace():
 def test_no_gate_skips_tuning_entirely():
     series = _small_series()
     cfg = _small_cfg(no_gate=True)
-    result = run_dynamic(series, cfg, _pretrained(series, cfg))
+    result, cycles = _run_collecting(run_dynamic, series, cfg, _pretrained(series, cfg))
     assert all(rec["epochs"] == 0 for rec in result.records)
-    assert all(cycle.gate is None for cycle in result.cycles)
+    assert all(cycle.gate is None for cycle in cycles)
 
 
 def test_empty_training_snapshot_skips_adaptation():
@@ -262,21 +295,21 @@ def test_masking_hides_previously_seen_items_during_evaluation():
 def test_run_frozen_embeddings_constant_across_cycles():
     series = _small_series()
     cfg = _small_cfg()
-    result = run_frozen(series, cfg, _pretrained(series, cfg))
-    first = result.cycles[0].embeddings.tobytes()
-    assert all(c.embeddings.tobytes() == first for c in result.cycles)
+    result, cycles = _run_collecting(run_frozen, series, cfg, _pretrained(series, cfg))
+    first = cycles[0].embeddings.tobytes()
+    assert all(c.embeddings.tobytes() == first for c in cycles)
     assert all(rec["epochs"] == 0 for rec in result.records)
 
 
 def test_macro_micro_aggregate_per_cycle_reports():
     series = _small_series()
     cfg = _small_cfg()
-    result = run_frozen(series, cfg, _pretrained(series, cfg))
+    result, cycles = _run_collecting(run_frozen, series, cfg, _pretrained(series, cfg))
     active = [r for r in result.records if r["n_eval_users"] > 0]
     macro_r, macro_n = result.macro()
     assert macro_r == pytest.approx(np.mean([r["recall"] for r in active]))
     assert macro_n == pytest.approx(np.mean([r["ndcg"] for r in active]))
-    pooled_r = [v for c in result.cycles for v in c.report.recalls]
+    pooled_r = [v for c in cycles for v in c.report.recalls]
     micro_r, _ = result.micro()
     assert micro_r == pytest.approx(np.mean(pooled_r))
     summary = result.summary()
