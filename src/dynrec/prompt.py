@@ -25,8 +25,8 @@ from scipy.special import expit
 
 from .config import RunConfig
 from .data import InteractionGraph, build_graph
-from .propagation import build_weights, forward, forward_backward
-from .training import Adam, bpr_grad_final, check_finite, sample_negatives
+from .propagation import build_weights, forward
+from .training import Adam, bpr_gradients, step_buffers, train_epochs
 
 
 @dataclass(frozen=True)
@@ -138,29 +138,20 @@ def finetune(
     weights = build_weights(graph, cfg.tau_seconds, no_temporal=cfg.no_temporal)
     gate = GateParams.zeros(x_in.shape[1])
     adam = Adam({"w": gate.w, "b": gate.b}, cfg.learning_rate)
-    positives = np.stack([graph.edge_user, graph.edge_item], axis=1)
-    log: list[dict] = []
-    for epoch in range(1, cfg.finetune_epochs + 1):
-        order = rng.permutation(positives.shape[0])
-        total = 0.0
-        for batch, start in enumerate(range(0, order.size, cfg.batch_size), 1):
-            rows = positives[order[start : start + cfg.batch_size]]
-            triples = sample_negatives(graph, rows, rng)
-            # the gate's sigmoid, once per step: it gates the input and its gradient
-            sig = expit(x_in @ gate.w.T + gate.b)
-            z = forward(weights, x_in * sig, cfg.layers)
-            loss, grad_z = bpr_grad_final(z, triples)
-            upstream = forward_backward(weights, grad_z, cfg.layers)
-            grad_w, grad_b = gate_gradients(x_in, sig, upstream)
-            if cfg.l2_reg > 0.0:
-                loss += cfg.l2_reg * float(np.sum(gate.w**2) + np.sum(gate.b**2))
-                grad_w += 2.0 * cfg.l2_reg * gate.w
-                grad_b += 2.0 * cfg.l2_reg * gate.b
-            check_finite(loss, (grad_w, grad_b), epoch, batch)
-            adam.step({"w": grad_w, "b": grad_b})
-            total += loss
-        log.append({"epoch": epoch, "loss": total / max(positives.shape[0], 1)})
+    work = step_buffers(*x_in.shape, cfg.batch_size)
+
+    def step(triples: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
+        # the gate's sigmoid, once per step: it gates the input and its gradient
+        sig = expit(x_in @ gate.w.T + gate.b)
+        loss, upstream = bpr_gradients(weights, x_in * sig, triples, cfg.layers, work=work)
+        grad_w, grad_b = gate_gradients(x_in, sig, upstream)
+        if cfg.l2_reg > 0.0:
+            loss += cfg.l2_reg * float(np.sum(gate.w**2) + np.sum(gate.b**2))
+            grad_w += 2.0 * cfg.l2_reg * gate.w
+            grad_b += 2.0 * cfg.l2_reg * gate.b
+        return loss, {"w": grad_w, "b": grad_b}
+
+    epochs = train_epochs(graph, cfg.finetune_epochs, cfg.batch_size, rng, adam, step)
+    log = [{"epoch": epoch, "loss": loss} for epoch, loss in epochs]
     embeddings = forward(weights, apply_gate(x_in, gate), cfg.layers)
-    return FinetuneResult(
-        gate=gate, embeddings=embeddings, log=log, optimizer_steps=adam.step_count
-    )
+    return FinetuneResult(gate, embeddings, log, optimizer_steps=adam.step_count)

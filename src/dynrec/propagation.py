@@ -15,7 +15,7 @@ transpose is built on first use; `temporal_softmax` computes the alpha
 shares. Propagation is linear: `forward` applies the operator once per
 layer and averages layers 0..L. Because the map from initial embeddings to
 final ones is linear, its adjoint `forward_backward` (needed for gradient
-computation) is the same accumulation run with the transposed operator.
+computation) is the same routine run with the transposed operator.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .data import InteractionGraph
 
@@ -113,46 +114,50 @@ def build_weights(
     return PropagationWeights(matrix=matrix, isolated=deg == 0)
 
 
-def forward(
-    weights: PropagationWeights, x0: np.ndarray, n_layers: int
-) -> np.ndarray:
-    """Mean of propagation layers 0..n_layers from initial embeddings `x0`.
+def spmm(m: sp.csr_matrix | sp.csc_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`m @ x` into C-contiguous `out`: the kernel scipy's product runs, on a zeroed output."""
+    if not out.flags.c_contiguous:
+        raise ValueError("spmm needs a C-contiguous output")
+    out.fill(0.0)
+    kernel = getattr(_sparsetools, m.format + "_matvecs")
+    kernel(*m.shape, x.shape[1], m.indptr, m.indices, m.data, x.ravel(), out.ravel())
+    return out
 
-    Isolated nodes (degree 0) keep their layer-0 rows unchanged rather than
-    being averaged toward zero. `n_layers=0` returns a copy of `x0`.
-    """
+
+def _propagate(matrix: sp.csr_matrix, isolated: np.ndarray, x0: np.ndarray, n_layers: int, out):
+    """`forward` over `matrix`: the mean of layers 0..n_layers, isolated rows passed through."""
     if n_layers < 0:
         raise ValueError("n_layers must be >= 0")
-    acc = x0.copy()
+    acc, *layers = (np.empty(x0.shape), *np.empty((2, *x0.shape))) if out is None else out
+    np.copyto(acc, x0)
     x = x0
-    for _ in range(n_layers):
-        x = weights.matrix @ x
+    for layer in range(n_layers):
+        x = spmm(matrix, x, layers[layer % 2])
         acc += x
     acc /= float(n_layers + 1)
-    if n_layers and weights.isolated.any():
-        acc[weights.isolated] = x0[weights.isolated]
+    if n_layers and isolated.any():
+        acc[isolated] = x0[isolated]
     return acc
 
 
+def forward(weights: PropagationWeights, x0: np.ndarray, n_layers: int, out=None) -> np.ndarray:
+    """Mean of propagation layers 0..n_layers from initial embeddings `x0`.
+
+    Isolated nodes (degree 0) keep their layer-0 rows unchanged rather than
+    being averaged toward zero. `n_layers=0` returns a copy of `x0`. `out`,
+    if given, is three (N, d) arrays other than `x0`: the mean goes to the
+    first, which is returned, and the layers to the others.
+    """
+    return _propagate(weights.matrix, weights.isolated, x0, n_layers, out)
+
+
 def forward_backward(
-    weights: PropagationWeights, grad_out: np.ndarray, n_layers: int
+    weights: PropagationWeights, grad_out: np.ndarray, n_layers: int, out=None
 ) -> np.ndarray:
     """Adjoint of `forward`: map a gradient w.r.t. the output back to x0.
 
     The forward map is x0 -> (sum_{l=0..L} A^l x0) / (L+1) with isolated rows
-    passed through, so the adjoint accumulates (A^T)^l over the non-isolated
-    part and adds the upstream gradient directly on isolated rows.
+    passed through, so its adjoint is the same map over A^T, which never
+    reads or writes an isolated row. `out` is as for `forward`.
     """
-    if n_layers < 0:
-        raise ValueError("n_layers must be >= 0")
-    acc = grad_out.copy()
-    if n_layers and weights.isolated.any():
-        acc[weights.isolated] = 0.0
-    cur = acc  # read by the first product before `acc` accumulates
-    for _ in range(n_layers):
-        cur = weights.matrix_t @ cur
-        acc += cur
-    acc /= float(n_layers + 1)
-    if n_layers and weights.isolated.any():
-        acc[weights.isolated] += grad_out[weights.isolated]
-    return acc
+    return _propagate(weights.matrix_t, weights.isolated, grad_out, n_layers, out)

@@ -18,6 +18,7 @@ when held-out recall has not improved for `patience` consecutive epochs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,7 +26,7 @@ from scipy.special import expit
 
 from .data import DataError, InteractionGraph, build_graph
 from .evaluation import evaluate_users, pair_keys
-from .propagation import PropagationWeights, build_weights, forward, forward_backward
+from .propagation import PropagationWeights, build_weights, forward, forward_backward, spmm
 from .rng import seed_stream
 
 
@@ -65,7 +66,8 @@ class Adam:
     """Adam over a dict of named arrays, updated in place.
 
     `step` consumes its gradients: it overwrites each one as scratch space
-    (pass a copy to keep it) and allocates one more array per parameter.
+    (pass a copy to keep it). Its other scratch array per parameter is held
+    from construction, so a step allocates nothing.
     """
 
     beta1 = 0.9
@@ -78,15 +80,15 @@ class Adam:
         self.step_count = 0
         self._m = {k: np.zeros_like(v) for k, v in params.items()}
         self._v = {k: np.zeros_like(v) for k, v in params.items()}
+        self._scratch = {k: np.empty_like(v) for k, v in params.items()}
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         self.step_count += 1
         t = self.step_count
         for name, g in grads.items():
-            m = self._m[name]
-            v = self._v[name]
+            m, v, scratch = self._m[name], self._v[name], self._scratch[name]
             # p -= lr * (m / c1) / (sqrt(v / c2) + eps), evaluated in that order
-            scratch = np.multiply(g, 1.0 - self.beta1)
+            np.multiply(g, 1.0 - self.beta1, out=scratch)
             m *= self.beta1
             m += scratch
             np.square(g, out=g)
@@ -100,14 +102,6 @@ class Adam:
             g += self.eps
             scratch /= g
             self.params[name] -= scratch
-
-
-def check_finite(loss: float, grads: tuple[np.ndarray, ...], epoch: int, batch: int) -> None:
-    """Raise FloatingPointError, naming the epoch and batch, on a non-finite loss or gradient."""
-    if not (np.isfinite(loss) and all(np.isfinite(g).all() for g in grads)):
-        raise FloatingPointError(
-            f"training diverged: non-finite loss or gradient at epoch {epoch}, batch {batch}"
-        )
 
 
 def sample_negatives(
@@ -145,49 +139,40 @@ def sample_negatives(
     return triples
 
 
-def bpr_grad_final(z: np.ndarray, triples: np.ndarray) -> tuple[float, np.ndarray]:
-    """Pairwise ranking loss over final embeddings `z` and its gradient w.r.t. `z`.
-
-    Each triple's score gradient is scattered onto its user, positive and
-    negative rows; rows repeated across triples accumulate. The scatter is
-    one sparse product whose row r sums r's occurrences as a user, then as a
-    positive, then as a negative, each in triple order: `np.add.at`'s order
-    over the three columns in turn, so its rounding too.
-    """
-    b = len(triples)
-    u, i, j = triples[:, 0], triples[:, 1], triples[:, 2]
-    zu = z[u]
-    diff = z[i] - z[j]
-    s = np.einsum("nd,nd->n", zu, diff)
-    loss = float(np.sum(np.logaddexp(0.0, -s)))
-    coef = expit(-s)[:, None]  # -dL/ds for each triple
-    vals = np.empty((3 * b, z.shape[1]))
-    np.multiply(-coef, diff, out=vals[:b])
-    np.multiply(-coef, zu, out=vals[b : 2 * b])
-    np.multiply(coef, zu, out=vals[2 * b :])
-    scatter = sp.csr_matrix(
-        (np.ones(3 * b), (triples.ravel(order="F"), np.arange(3 * b))),
-        shape=(z.shape[0], 3 * b),
-    )
-    return loss, scatter @ vals
+def step_buffers(n_nodes: int, dim: int, batch_size: int) -> tuple[np.ndarray, ...]:
+    """The arrays a training step writes into (see `bpr_gradients`)."""
+    return np.empty((3, n_nodes, dim)), np.empty((n_nodes, dim)), np.empty((3 * batch_size, dim))
 
 
 def bpr_gradients(
-    weights: PropagationWeights,
-    x0: np.ndarray,
-    triples: np.ndarray,
-    n_layers: int,
-    l2_reg: float = 0.0,
+    weights: PropagationWeights, x0: np.ndarray, triples: np.ndarray, n_layers: int,
+    l2_reg: float = 0.0, work: tuple[np.ndarray, ...] | None = None,
 ) -> tuple[float, np.ndarray]:
     """Loss and its exact gradient w.r.t. the initial embedding table.
 
-    The chain has three stages: scatter the per-triple score gradients onto
-    the final table (rows repeated across triples accumulate), pull the
-    result back through propagation with the adjoint pass, then add the L2
-    contribution, which acts on the initial table directly.
+    Scatter the per-triple score gradients onto the final table: row r sums
+    r's occurrences as a user, then a positive, then a negative, each in
+    triple order, so it rounds as `np.add.at` over the three columns in turn.
+    Pull that back with the adjoint pass, then add the L2 term on the
+    initial table. `work` holds the (3, N, d) propagation arrays, the (N, d)
+    scatter output and the (3 * batch, d) score gradients (`step_buffers`);
+    with it, the returned gradient is its first array.
     """
-    loss, grad_z = bpr_grad_final(forward(weights, x0, n_layers), triples)
-    grad_x0 = forward_backward(weights, grad_z, n_layers)
+    b = len(triples)
+    prop, grad_z, vals = work or (None, np.empty(x0.shape), np.empty((3 * b, x0.shape[1])))
+    z = forward(weights, x0, n_layers, out=prop)
+    zu = z[triples[:, 0]]
+    diff = z[triples[:, 1]] - z[triples[:, 2]]
+    s = np.einsum("nd,nd->n", zu, diff)
+    loss = float(np.sum(np.logaddexp(0.0, -s)))
+    coef = expit(-s)[:, None]  # -dL/ds for each triple
+    vals = vals[: 3 * b]
+    np.multiply(-coef, diff, out=vals[:b])
+    np.multiply(-coef, zu, out=vals[b : 2 * b])
+    np.multiply(coef, zu, out=vals[2 * b :])
+    cols = (np.ones(3 * b), triples.ravel(order="F"), np.arange(3 * b + 1))  # one entry each
+    scatter = sp.csc_matrix(cols, shape=(x0.shape[0], 3 * b))  # a row sums in column order
+    grad_x0 = forward_backward(weights, spmm(scatter, vals, grad_z), n_layers, out=prop)
     if l2_reg > 0.0:
         rows = triples.ravel()
         loss += l2_reg * float(np.sum(x0[rows] ** 2))
@@ -199,6 +184,31 @@ def bpr_gradients(
             due = counts >= t
             grad_x0[nodes[due]] += add[due]
     return loss, grad_x0
+
+
+def train_epochs(
+    graph: InteractionGraph, epochs: int, batch_size: int, rng: np.random.Generator, adam: Adam,
+    step: Callable[[np.ndarray], tuple[float, dict[str, np.ndarray]]],
+) -> Iterator[tuple[int, float]]:
+    """Run `epochs` epochs of Adam steps, yielding (epoch, mean loss per edge) after each.
+
+    Each epoch shuffles `graph`'s edges into batches and pairs each edge with
+    an unseen negative; `step(triples)` returns the batch loss and gradients,
+    which `adam` applies. A non-finite loss or gradient raises FloatingPointError.
+    """
+    positives = np.stack([graph.edge_user, graph.edge_item], axis=1)
+    for epoch in range(1, epochs + 1):
+        order = rng.permutation(positives.shape[0])
+        total = 0.0
+        for batch, start in enumerate(range(0, order.size, batch_size), 1):
+            triples = sample_negatives(graph, positives[order[start : start + batch_size]], rng)
+            loss, grads = step(triples)
+            if not (np.isfinite(loss) and all(np.isfinite(g).all() for g in grads.values())):
+                at = f"epoch {epoch}, batch {batch}"
+                raise FloatingPointError(f"training diverged: non-finite loss or gradient at {at}")
+            adam.step(grads)
+            total += loss
+        yield epoch, total / max(positives.shape[0], 1)
 
 
 def holdout_split(
@@ -251,7 +261,7 @@ def pretrain(
     recall improves; the best snapshot is returned. `max_epochs=0` returns
     the untouched initialization. With `val_fraction=0` there is no holdout
     and training runs all epochs on the full graph. A non-finite loss or
-    gradient raises FloatingPointError (see `check_finite`), and so does a
+    gradient raises FloatingPointError (see `train_epochs`), and so does a
     table whose scores overflow: checked on each validation pass, or once
     on the final table when there is no validation.
     """
@@ -270,30 +280,24 @@ def pretrain(
         train_graph, val_keys = graph, np.empty(0, dtype=np.int64)
     weights = build_weights(train_graph, tau, no_temporal=no_temporal)
 
-    positives = np.stack([train_graph.edge_user, train_graph.edge_item], axis=1)
     rng = seed_stream(cfg.seed, "negatives")
     adam = Adam({"x": x}, cfg.learning_rate)
+    work = step_buffers(n, dim, cfg.batch_size)
+
+    def step(triples: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
+        loss, grad = bpr_gradients(weights, x, triples, n_layers, cfg.l2_reg, work)
+        return loss, {"x": grad}
 
     best = PretrainResult(embeddings=x)
     stale = 0
-    for epoch in range(1, cfg.max_epochs + 1):
-        order = rng.permutation(positives.shape[0])
-        total = 0.0
-        for batch, start in enumerate(range(0, order.size, cfg.batch_size), 1):
-            rows = positives[order[start : start + cfg.batch_size]]
-            triples = sample_negatives(train_graph, rows, rng)
-            loss, grad = bpr_gradients(weights, x, triples, n_layers, cfg.l2_reg)
-            check_finite(loss, (grad,), epoch, batch)
-            adam.step({"x": grad})
-            total += loss
-        mean_loss = total / max(positives.shape[0], 1)
-
+    epochs = train_epochs(train_graph, cfg.max_epochs, cfg.batch_size, rng, adam, step)
+    for epoch, mean_loss in epochs:
         record = {"epoch": epoch, "loss": mean_loss, "val_recall": None}
         if val_keys.size:
             # a last step can leave a finite table whose scores overflow
             try:
                 with np.errstate(over="raise"):
-                    z = forward(weights, x, n_layers)
+                    z = forward(weights, x, n_layers, out=work[0])
                     report = evaluate_users(
                         z, graph.n_users, val_keys, train_graph.keys, cfg.eval_k
                     )
@@ -317,7 +321,7 @@ def pretrain(
         # overflows, no user-item score can either (Cauchy-Schwarz)
         try:
             with np.errstate(over="raise"):
-                np.square(forward(weights, x, n_layers)).sum(axis=1)
+                np.square(forward(weights, x, n_layers, out=work[0])).sum(axis=1)
         except FloatingPointError as exc:
             raise FloatingPointError(
                 f"training diverged: scores overflow at epoch {epoch}"

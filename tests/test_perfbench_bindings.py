@@ -15,8 +15,14 @@ from pathlib import Path
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 # Bindings the recorder lists but the program no longer has: pre-training is
-# called only from the CLI, and the CLI hashes files only through the manifest.
-ABSENT = {"dynrec.dynamics:pretrain", "dynrec.cli:sha256_file"}
+# called only from the CLI, the CLI hashes files only through the manifest,
+# and gate tuning samples and back-propagates through dynrec.training's loop.
+ABSENT = {
+    "dynrec.dynamics:pretrain",
+    "dynrec.cli:sha256_file",
+    "dynrec.prompt:forward_backward",
+    "dynrec.prompt:sample_negatives",
+}
 
 
 def _load_spans(monkeypatch) -> types.ModuleType:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ from dynrec.propagation import (
     forward_backward,
     normalize_times,
     relative_timesteps,
+    spmm,
     temporal_softmax,
 )
 from helpers import dense_forward, dense_operator, edge_array, random_bipartite_edges
@@ -224,6 +226,37 @@ def test_adjoint_identity(seed, n_layers):
     lhs = float(np.sum(forward(w, x, n_layers) * y))
     rhs = float(np.sum(x * forward_backward(w, y, n_layers)))
     assert lhs == pytest.approx(rhs, abs=1e-9)
+
+
+@pytest.mark.parametrize("fmt", ["csr", "csc"])
+@pytest.mark.parametrize("d", [1, 5])
+def test_spmm_is_bitwise_equal_to_the_sparse_product(fmt, d):
+    # spmm runs scipy's private kernel itself; a scipy change to it must fail here
+    rng = np.random.default_rng(21)
+    m = sp.random(30, 20, density=0.2, random_state=rng, format="lil")
+    m[3, :] = 0.0  # empty rows and columns
+    m[:, 7] = 0.0
+    m = m.asformat(fmt)
+    assert m.getnnz(axis=1).min() == 0 and m.getnnz(axis=0).min() == 0
+    x = rng.normal(size=(20, 2 * d))[:, ::2]  # not contiguous
+    out = np.full((30, d), np.nan)
+    got = spmm(m, x, out)
+    assert got is out
+    assert out.tobytes() == (m @ x).tobytes()
+    with pytest.raises(ValueError):
+        spmm(m, x, np.empty((30, 2 * d))[:, ::2])
+
+
+def test_propagation_results_own_their_memory():
+    # a kept result that viewed a larger block would keep the whole block alive
+    rng, n_users, n_items, edges = _random_case(5, 8, 8)
+    w = build_weights(_graph(edges, n_users, n_items), TAU)
+    x = rng.normal(size=(n_users + n_items, 4))
+    for fn in (forward, forward_backward):
+        got = fn(w, x, 2)
+        assert got.base is None
+        buffers = np.empty((3, *x.shape))
+        assert fn(w, x, 2, out=buffers).tobytes() == got.tobytes()
 
 
 def test_forward_rejects_negative_layers():

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,10 +18,10 @@ from dynrec.training import (
     Adam,
     TrainConfig,
     bpr_gradients,
-    bpr_grad_final,
     holdout_split,
     pretrain,
     sample_negatives,
+    step_buffers,
 )
 from helpers import (
     adam_reference,
@@ -205,14 +206,16 @@ def _add_at_grad_final(z, triples):
     return grad
 
 
-def test_bpr_grad_final_matches_add_at_bitwise():
+def test_bpr_gradients_scatter_matches_add_at_bitwise():
     rng = np.random.default_rng(11)
     z = rng.normal(size=(7, 5))
     # 300 triples over 6 of 7 nodes: every node recurs in all three roles,
     # one triple names the same node three times, and node 6 never appears
     triples = rng.integers(0, 6, size=(300, 3))
     triples[17] = [4, 4, 4]
-    loss, grad = bpr_grad_final(z, triples)
+    # with no layers the table is the final one, so the gradient is the scatter's
+    w = build_weights(_graph([(0, 3, 0)], 3, 4), 3600.0)
+    loss, grad = bpr_gradients(w, z, triples, 0)
     np.testing.assert_array_equal(grad, _add_at_grad_final(z, triples))
     assert loss == bpr_loss(z, triples)
     assert not grad[6].any()
@@ -232,6 +235,28 @@ def test_bpr_gradients_l2_rounds_match_add_at_bitwise():
     np.add.at(expected, rows, 2.0 * l2 * x0[rows])
     np.testing.assert_array_equal(grad, expected)
     assert loss == plain_loss + l2 * float(np.sum(x0[rows] ** 2))
+
+
+def test_steady_state_training_step_allocates_no_table_sized_array():
+    rng = np.random.default_rng(14)
+    n_users, n_items, d, batch = 600, 400, 16, 32
+    g = _graph(random_bipartite_edges(rng, n_users, n_items, 6000), n_users, n_items)
+    w = build_weights(g, 3600.0)
+    x = rng.normal(size=(g.n_nodes, d))
+    positives = np.stack([g.edge_user, g.edge_item], axis=1)[:batch]
+    triples = sample_negatives(g, positives, rng)
+    opt = Adam({"x": x}, learning_rate=0.01)
+    work = step_buffers(g.n_nodes, d, batch)
+    opt.step({"x": bpr_gradients(w, x, triples, 3, 1e-4, work)[1]})  # builds the transpose
+    tracemalloc.start()
+    try:
+        _, grad = bpr_gradients(w, x, triples, 3, 1e-4, work)
+        opt.step({"x": grad})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(grad, work[0])
+    assert peak < g.n_nodes * d * 8
 
 
 def test_adam_in_place_matches_out_of_place_formula_bitwise():
