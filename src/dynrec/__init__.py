@@ -20,7 +20,7 @@ from dynrec.data import (
     segment_snapshots,
 )
 from dynrec.dynamics import run_dynamic, run_frozen
-from dynrec.training import TrainConfig, pretrain
+from dynrec.training import pretrain
 from dynrec.prompt import GateParams, build_prompt_graph, finetune
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "InteractionGraph",
     "RunConfig",
     "SnapshotSeries",
-    "TrainConfig",
     "Vocabulary",
     "build_graph",
     "build_prompt_graph",

@@ -131,13 +131,8 @@ def _pretrained(
     """
     if not getattr(args, "pretrained", None):
         trained = pretrain(
-            series.pretrain,
-            cfg.d,
-            cfg.layers,
-            cfg.tau_seconds,
-            cfg.train_config(),
-            no_temporal=cfg.no_temporal,
-            init_std=cfg.init_std,
+            series.pretrain, cfg.d, cfg.layers, cfg.tau_seconds, cfg,
+            no_temporal=cfg.no_temporal, init_std=cfg.init_std,
         )
         return trained.embeddings, trained
     ckpt_dir = _resolve_checkpoint(args.pretrained)

@@ -100,20 +100,9 @@ class RunConfig:
     def granularity_seconds(self) -> int:
         return int(round(self.granularity_hours * 3600.0))
 
-    def train_config(self) -> "TrainConfig":
-        """Optimizer settings for pre-training."""
-        from .training import TrainConfig
-
-        return TrainConfig(
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
-            max_epochs=self.max_epochs,
-            patience=min(self.patience, max(self.max_epochs, 1)),
-            l2_reg=self.l2_reg,
-            val_fraction=self.val_fraction,
-            eval_k=self.k,
-            seed=self.seed,
-        )
+    def train_config(self) -> "RunConfig":
+        """This config, which `pretrain` reads; kept for `perfbench/run.py`, its last caller."""
+        return self
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -151,7 +140,6 @@ def _coerce(key: str, raw: str):
 def parse_config(
     source: IO[str] | Iterable[str] | None = None,
     overrides: Iterable[str] = (),
-    base: RunConfig | None = None,
 ) -> RunConfig:
     """Build a RunConfig from a `key = value` file plus `key=value` overrides.
 
@@ -174,8 +162,7 @@ def parse_config(
             raise ValueError(f"malformed override {item!r}: expected key=value")
         key, raw = (part.strip() for part in item.split("=", 1))
         values[key] = _coerce(key, raw)
-    cfg = base if base is not None else RunConfig()
-    return dataclasses.replace(cfg, **values)
+    return RunConfig(**values)
 
 
 def load_config(path: str, overrides: Iterable[str] = ()) -> RunConfig:

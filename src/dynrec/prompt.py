@@ -41,9 +41,9 @@ class GateParams:
         return cls(w=np.zeros((d, d)), b=np.zeros(d))
 
     @classmethod
-    def random(cls, d: int, rng: np.random.Generator, std: float = 0.05) -> "GateParams":
-        """Gaussian weights; the default std is that of each cycle's throwaway gate."""
-        return cls(w=rng.normal(0.0, std, size=(d, d)), b=rng.normal(0.0, std, size=d))
+    def random(cls, d: int, rng: np.random.Generator) -> "GateParams":
+        """Gaussian weights of std 0.05: each cycle's throwaway gate."""
+        return cls(w=rng.normal(0.0, 0.05, size=(d, d)), b=rng.normal(0.0, 0.05, size=d))
 
 
 def apply_gate(x: np.ndarray, gate: GateParams) -> np.ndarray:

@@ -10,18 +10,18 @@ so a node's most recent interactions carry the largest share of its
 incoming mass. With temporal weighting disabled the weight falls back to
 the plain symmetric-normalized 1 / sqrt(deg_dst * deg_src).
 
-`build_weights` assembles these weights into one sparse operator, whose
-transpose is built on first use; `temporal_softmax` computes the alpha
-shares. Propagation is linear: `forward` applies the operator once per
-layer and averages layers 0..L. Because the map from initial embeddings to
-final ones is linear, its adjoint `forward_backward` (needed for gradient
-computation) is the same routine run with the transposed operator.
+`build_weights` assembles these weights into one sparse CSR operator;
+`temporal_softmax` computes the alpha shares. Propagation is linear:
+`forward` applies the operator once per layer and averages layers 0..L.
+Because the map from initial embeddings to final ones is linear, its
+adjoint `forward_backward` (needed for gradient computation) is the same
+routine run with the transposed operator, read as CSC from the CSR's own
+arrays, so no transpose is ever built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -71,19 +71,20 @@ def temporal_softmax(graph: InteractionGraph, tau: float) -> tuple[np.ndarray, n
 
 @dataclass(frozen=True)
 class PropagationWeights:
-    """The sparse one-step propagation operator and its transpose, built on first use.
+    """The sparse one-step propagation operator.
 
     `matrix` maps node values to node values: row = destination, column =
-    source. `isolated` marks nodes with no edges; the forward pass keeps
-    their layer-0 rows instead of averaging in zeros.
+    source. `matrix_t`, its transpose for the adjoint pass, is a CSC view
+    of the same arrays. `isolated` marks nodes with no edges; the forward
+    pass keeps their layer-0 rows instead of averaging in zeros.
     """
 
     matrix: sp.csr_matrix  # (N, N) one propagation step
     isolated: np.ndarray  # (N,) bool
 
-    @cached_property
-    def matrix_t(self) -> sp.csr_matrix:  # for the adjoint pass
-        return self.matrix.T.tocsr()
+    @property
+    def matrix_t(self) -> sp.csc_matrix:
+        return self.matrix.T
 
 
 def build_weights(
@@ -124,7 +125,9 @@ def spmm(m: sp.csr_matrix | sp.csc_matrix, x: np.ndarray, out: np.ndarray) -> np
     return out
 
 
-def _propagate(matrix: sp.csr_matrix, isolated: np.ndarray, x0: np.ndarray, n_layers: int, out):
+def _propagate(
+    matrix: sp.csr_matrix | sp.csc_matrix, isolated: np.ndarray, x0: np.ndarray, n_layers: int, out
+):
     """`forward` over `matrix`: the mean of layers 0..n_layers, isolated rows passed through."""
     if n_layers < 0:
         raise ValueError("n_layers must be >= 0")

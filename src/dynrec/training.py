@@ -24,42 +24,11 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
+from .config import RunConfig
 from .data import DataError, InteractionGraph, build_graph
 from .evaluation import evaluate_users, pair_keys
 from .propagation import PropagationWeights, build_weights, forward, forward_backward, spmm
 from .rng import seed_stream
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Optimizer and schedule settings for embedding training."""
-
-    learning_rate: float = 1e-3
-    batch_size: int = 1024
-    max_epochs: int = 100
-    patience: int = 10
-    l2_reg: float = 1e-4
-    val_fraction: float = 0.05
-    eval_k: int = 20
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.max_epochs < 0:
-            raise ValueError("max_epochs must be >= 0")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
-        if self.max_epochs > 0 and self.patience > self.max_epochs:
-            raise ValueError("patience must not exceed max_epochs")
-        if self.l2_reg < 0:
-            raise ValueError("l2_reg must be >= 0")
-        if not 0.0 <= self.val_fraction < 1.0:
-            raise ValueError("val_fraction must lie in [0, 1)")
-        if self.eval_k < 1:
-            raise ValueError("eval_k must be >= 1")
 
 
 class Adam:
@@ -249,17 +218,22 @@ def pretrain(
     dim: int,
     n_layers: int,
     tau: float,
-    cfg: TrainConfig,
+    cfg: RunConfig,
     *,
     no_temporal: bool = False,
     init_std: float = 0.1,
 ) -> PretrainResult:
     """Train the embedding table on `graph` with early stopping.
 
-    The table is Gaussian-initialized, optimized with Adam on the pairwise
+    Of the run config `cfg`, only the optimization fields (`learning_rate`
+    to `val_fraction`), the ranking cutoff `k` and `seed` are read; the
+    model's shape and edge weighting come from the other arguments. The
+    table is Gaussian-initialized, optimized with Adam on the pairwise
     ranking loss over the training split, and snapshotted whenever held-out
-    recall improves; the best snapshot is returned. `max_epochs=0` returns
-    the untouched initialization. With `val_fraction=0` there is no holdout
+    recall improves; the best snapshot is returned. Early stopping needs
+    `patience` epochs without improvement after the first, so a `patience`
+    of at least `max_epochs` never stops early. `max_epochs=0` returns the
+    untouched initialization. With `val_fraction=0` there is no holdout
     and training runs all epochs on the full graph. A non-finite loss or
     gradient raises FloatingPointError (see `train_epochs`), and so does a
     table whose scores overflow: checked on each validation pass, or once
@@ -299,7 +273,7 @@ def pretrain(
                 with np.errstate(over="raise"):
                     z = forward(weights, x, n_layers, out=work[0])
                     report = evaluate_users(
-                        z, graph.n_users, val_keys, train_graph.keys, cfg.eval_k
+                        z, graph.n_users, val_keys, train_graph.keys, cfg.k
                     )
             except FloatingPointError as exc:
                 raise FloatingPointError(

@@ -36,7 +36,7 @@ from dynrec.propagation import (
     temporal_softmax,
 )
 from dynrec.synthetic import drift_series, planted_blocks, write_tsv
-from dynrec.training import TrainConfig, bpr_gradients, pretrain
+from dynrec.training import bpr_gradients, pretrain
 from helpers import (
     bpr_loss,
     brute_force_ndcg,
@@ -491,7 +491,7 @@ def test_criterion_07_synthetic_learnability(capsys):
     n_users, n_items = vocab.n_users, vocab.n_items
     train_graph = build_graph(encode(vocab, train), n_users, n_items)
 
-    cfg = TrainConfig(
+    cfg = RunConfig(
         learning_rate=5e-3,
         batch_size=1024,
         max_epochs=100,

@@ -27,7 +27,7 @@ from dynrec.evaluation import evaluate_users, pair_keys
 from dynrec.prompt import finetune
 from dynrec.rng import seed_stream
 from dynrec.synthetic import drift_series, write_tsv
-from dynrec.training import TrainConfig, pretrain
+from dynrec.training import pretrain
 
 TAU = 6 * 3600.0
 
@@ -58,7 +58,7 @@ def test_pretrain_and_finetune_outputs_match_recorded_digests():
     )
     series = segment_snapshots(log, 48 * 3600, 24 * 3600)
     # small batches repeat rows inside a batch; l2 > 0 drives the L2 scatter
-    cfg = TrainConfig(
+    cfg = RunConfig(
         learning_rate=5e-2, batch_size=16, max_epochs=3, patience=3,
         l2_reg=1e-3, val_fraction=0.0, seed=0,
     )

@@ -99,16 +99,6 @@ def test_derived_second_quantities():
     assert cfg.granularity_seconds == 1800
 
 
-def test_train_config_caps_patience():
-    cfg = RunConfig(max_epochs=5, patience=10)
-    tc = cfg.train_config()
-    assert tc.max_epochs == 5 and tc.patience == 5
-
-
-def test_train_config_validates_at_the_ranking_cutoff():
-    assert RunConfig(k=5).train_config().eval_k == 5
-
-
 def test_readme_config_table_lists_every_field_with_its_default():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     table = readme.split("## Configuration keys", 1)[1].split("\n## ", 1)[0]

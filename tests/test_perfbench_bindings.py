@@ -1,16 +1,23 @@
-"""The benchmark's span recorder still finds the functions it wraps.
+"""The benchmark's span recorder still finds the functions it wraps and counts their work.
 
 `perfbench/spans.py` times dynrec by replacing named module bindings, and it
 reports a binding that no longer exists as absent instead of failing. So a
-rename in `src/` would silently zero a per-layer metric. This test resolves
-every binding with the recorder's own resolver and pins the absent ones, so
-losing a binding shows up as an edit to this file.
+rename in `src/` would silently zero a per-layer metric. These tests resolve
+every binding with the recorder's own resolver and pin the absent ones, so
+losing a binding shows up as an edit to this file. A counter that no longer
+fits what it counts (say, an attribute it reads is gone) is likewise only
+noted by the recorder, so a small run through the benchmark's calls checks
+that every counter ran and that the adjoint's work is counted right.
 """
 from __future__ import annotations
 
 import sys
 import types
 from pathlib import Path
+
+from dynrec import data, dynamics, training
+from dynrec.config import RunConfig
+from dynrec.synthetic import drift_series, write_tsv
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -40,3 +47,36 @@ def test_every_wrapped_binding_resolves_except_the_known_absent_ones(monkeypatch
     bindings = [b for target in spans.TARGETS for b in target.bindings]
     absent = {b for b in bindings if spans._resolve(b) is None}
     assert absent == ABSENT
+
+
+def test_counters_count_the_benchmark_calls_without_error(monkeypatch, tmp_path):
+    spans = _load_spans(monkeypatch)
+    path = str(tmp_path / "log.tsv")
+    write_tsv(path, drift_series(3, 4, 4, pretrain_days=2, snapshot_days=3, seed=0))
+    cfg = RunConfig(
+        d=8, layers=2, tau_hours=6.0, batch_size=32, max_epochs=2, patience=2,
+        finetune_epochs=1, pretrain_span_hours=48.0, granularity_hours=24.0, k=5,
+    )
+    # the flop count each adjoint call should be given, from the operator it ran on
+    expected = []
+    adjoint = training.forward_backward
+
+    def observed(weights, grad_out, n_layers, out=None):
+        expected.append(2 * weights.matrix.nnz * grad_out.shape[1] * n_layers)
+        return adjoint(weights, grad_out, n_layers, out)
+
+    monkeypatch.setattr(training, "forward_backward", observed)
+    with spans.Recorder(spans.TARGETS) as recorder:  # the calls `library_rep` makes
+        loaded = data.load_interactions(path)
+        series = data.segment_snapshots(
+            loaded[0], cfg.pretrain_span_seconds, cfg.granularity_seconds
+        )
+        pre = training.pretrain(
+            series.pretrain, cfg.d, cfg.layers, cfg.tau_seconds, cfg.train_config(),
+            no_temporal=cfg.no_temporal, init_std=cfg.init_std,
+        )
+        dynamics.run_dynamic(series, cfg, pre.embeddings)
+        dynamics.run_frozen(series, cfg, pre.embeddings)
+    assert recorder.count_errors == set()
+    flops = [s[5]["spmm_flop"] for s in recorder.spans if s[0] == "propagation.forward_backward"]
+    assert len(flops) > 2 and flops == expected

@@ -84,7 +84,7 @@ def test_random_gate_is_seeded_and_non_trivial():
     x = np.random.default_rng(1).normal(size=(4, 3))
 
     def random_gate(stream):
-        return apply_gate(x, GateParams.random(3, seed_stream(7, "gate", stream), 0.05))
+        return apply_gate(x, GateParams.random(3, seed_stream(7, "gate", stream)))
 
     a, b, c = random_gate(0), random_gate(0), random_gate(1)
     assert np.array_equal(a, b)

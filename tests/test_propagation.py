@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dynrec.data import build_graph
 from dynrec.propagation import (
+    PropagationWeights,
     build_weights,
     forward,
     forward_backward,
@@ -226,6 +227,17 @@ def test_adjoint_identity(seed, n_layers):
     lhs = float(np.sum(forward(w, x, n_layers) * y))
     rhs = float(np.sum(x * forward_backward(w, y, n_layers)))
     assert lhs == pytest.approx(rhs, abs=1e-9)
+
+
+@given(st.integers(0, 400), st.integers(0, 3))
+def test_adjoint_over_the_csc_view_is_bitwise_the_pass_over_a_csr_transpose(seed, n_layers):
+    # both kernels add into each output row in ascending source order
+    rng, n_users, n_items, edges = _random_case(seed, 8, 8)
+    w = build_weights(_graph(edges, n_users, n_items), TAU)
+    assert w.matrix_t.format == "csc" and np.shares_memory(w.matrix_t.indptr, w.matrix.indptr)
+    built = PropagationWeights(matrix=w.matrix.T.tocsr(), isolated=w.isolated)
+    y = rng.normal(size=(w.matrix.shape[0], 3))
+    assert forward_backward(w, y, n_layers).tobytes() == forward(built, y, n_layers).tobytes()
 
 
 @pytest.mark.parametrize("fmt", ["csr", "csc"])

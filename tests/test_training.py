@@ -10,13 +10,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import expit
 
+from dynrec.config import RunConfig
 from dynrec.data import build_graph
 from dynrec.evaluation import pair_keys
 from dynrec.propagation import build_weights, forward
 from dynrec.rng import seed_stream
 from dynrec.training import (
     Adam,
-    TrainConfig,
     bpr_gradients,
     holdout_split,
     pretrain,
@@ -50,15 +50,14 @@ def _graph(edges, n_users, n_items):
         {"batch_size": 0},
         {"max_epochs": -1},
         {"patience": 0},
-        {"max_epochs": 5, "patience": 6},
         {"l2_reg": -0.1},
         {"val_fraction": 1.0},
-        {"eval_k": 0},
+        {"k": 0},
     ],
 )
 def test_train_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
-        TrainConfig(**kwargs)
+        RunConfig(**kwargs)
 
 
 # -- optimizer -------------------------------------------------------------
@@ -247,16 +246,17 @@ def test_steady_state_training_step_allocates_no_table_sized_array():
     triples = sample_negatives(g, positives, rng)
     opt = Adam({"x": x}, learning_rate=0.01)
     work = step_buffers(g.n_nodes, d, batch)
-    opt.step({"x": bpr_gradients(w, x, triples, 3, 1e-4, work)[1]})  # builds the transpose
-    tracemalloc.start()
-    try:
-        _, grad = bpr_gradients(w, x, triples, 3, 1e-4, work)
-        opt.step({"x": grad})
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.shares_memory(grad, work[0])
-    assert peak < g.n_nodes * d * 8
+    assert np.shares_memory(w.matrix_t.data, w.matrix.data)  # the adjoint's operator is a view
+    for _ in range(2):  # the first step too: nothing is built on first use
+        tracemalloc.start()
+        try:
+            _, grad = bpr_gradients(w, x, triples, 3, 1e-4, work)
+            opt.step({"x": grad})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(grad, work[0])
+        assert peak < g.n_nodes * d * 8
 
 
 def test_adam_in_place_matches_out_of_place_formula_bitwise():
@@ -318,7 +318,7 @@ def _block_edges() -> list[tuple[int, int, int]]:
 
 def test_pretrain_zero_epochs_returns_seeded_init():
     g = _graph(_block_edges(), 6, 6)
-    cfg = TrainConfig(max_epochs=0, patience=1)
+    cfg = RunConfig(max_epochs=0, patience=1)
     result = pretrain(g, dim=4, n_layers=2, tau=3600.0, cfg=cfg)
     expected = seed_stream(cfg.seed, "init").normal(0.0, 0.1, size=(12, 4))
     assert np.array_equal(result.embeddings, expected)
@@ -327,7 +327,7 @@ def test_pretrain_zero_epochs_returns_seeded_init():
 
 def test_pretrain_runs_and_logs_epochs():
     g = _graph(_block_edges(), 6, 6)
-    cfg = TrainConfig(
+    cfg = RunConfig(
         learning_rate=5e-3, batch_size=8, max_epochs=4, patience=4, val_fraction=0.2, seed=1
     )
     result = pretrain(g, dim=8, n_layers=2, tau=3600.0, cfg=cfg)
@@ -341,7 +341,7 @@ def test_pretrain_runs_and_logs_epochs():
 
 def test_pretrain_is_deterministic():
     g = _graph(_block_edges(), 6, 6)
-    cfg = TrainConfig(batch_size=8, max_epochs=3, patience=3, seed=9)
+    cfg = RunConfig(batch_size=8, max_epochs=3, patience=3, seed=9)
     a = pretrain(g, 4, 2, 3600.0, cfg)
     b = pretrain(g, 4, 2, 3600.0, cfg)
     assert a.embeddings.tobytes() == b.embeddings.tobytes()
@@ -351,7 +351,7 @@ def test_pretrain_is_deterministic():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the injected divergence overflows
 def test_pretrain_raises_when_training_diverges():
     g = _graph(_block_edges(), 6, 6)
-    cfg = TrainConfig(learning_rate=1e300, batch_size=8, max_epochs=3, patience=3)
+    cfg = RunConfig(learning_rate=1e300, batch_size=8, max_epochs=3, patience=3)
     # the first step moves every row by about 1e300, so the next batch's scores overflow
     with pytest.raises(FloatingPointError, match="epoch 1, batch 2"):
         pretrain(g, 4, 2, 3600.0, cfg)
@@ -362,7 +362,7 @@ def test_pretrain_raises_when_the_last_step_overflows_validation():
     # which passes the per-batch check but overflows the validation scores
     rng = np.random.default_rng(0)
     g = _graph(random_bipartite_edges(rng, 40, 30, 400), 40, 30)
-    cfg = TrainConfig(learning_rate=1e300, batch_size=4096, max_epochs=1, patience=1)
+    cfg = RunConfig(learning_rate=1e300, batch_size=4096, max_epochs=1, patience=1)
     with pytest.raises(FloatingPointError, match="validation scores overflow at epoch 1"):
         pretrain(g, 8, 2, 3600.0, cfg)
 
@@ -371,7 +371,7 @@ def test_pretrain_raises_when_the_last_step_overflows_without_validation():
     # no validation pass scores the only step's table, so the final check must
     rng = np.random.default_rng(0)
     g = _graph(random_bipartite_edges(rng, 40, 30, 400), 40, 30)
-    cfg = TrainConfig(
+    cfg = RunConfig(
         learning_rate=1e300, batch_size=4096, max_epochs=1, patience=1, val_fraction=0.0
     )
     with pytest.raises(FloatingPointError, match="scores overflow at epoch 1"):
@@ -380,15 +380,26 @@ def test_pretrain_raises_when_the_last_step_overflows_without_validation():
 
 def test_pretrain_no_validation_trains_all_epochs_keeping_last():
     g = _graph(_block_edges(), 6, 6)
-    cfg = TrainConfig(batch_size=8, max_epochs=3, patience=3, val_fraction=0.0)
+    cfg = RunConfig(batch_size=8, max_epochs=3, patience=3, val_fraction=0.0)
     result = pretrain(g, 4, 1, 3600.0, cfg)
     assert len(result.log) == 3
     assert result.best_epoch == 3
     assert all(rec["val_recall"] is None for rec in result.log)
 
 
+def test_pretrain_patience_beyond_max_epochs_runs_every_epoch():
+    # the first epoch always sets the best, so `stale` never reaches max_epochs
+    g = _graph(_block_edges(), 6, 6)
+    kw = dict(learning_rate=5e-3, batch_size=8, max_epochs=4, val_fraction=0.2, seed=1)
+    long = pretrain(g, 8, 2, 3600.0, RunConfig(patience=10, **kw))
+    capped = pretrain(g, 8, 2, 3600.0, RunConfig(patience=4, **kw))
+    assert len(long.log) == 4 and all(rec["val_recall"] is not None for rec in long.log)
+    assert long.embeddings.tobytes() == capped.embeddings.tobytes()
+    assert long.log == capped.log
+
+
 def test_pretrain_seed_changes_output():
     g = _graph(_block_edges(), 6, 6)
-    a = pretrain(g, 4, 1, 3600.0, TrainConfig(batch_size=8, max_epochs=2, patience=2, seed=0))
-    b = pretrain(g, 4, 1, 3600.0, TrainConfig(batch_size=8, max_epochs=2, patience=2, seed=1))
+    a = pretrain(g, 4, 1, 3600.0, RunConfig(batch_size=8, max_epochs=2, patience=2, seed=0))
+    b = pretrain(g, 4, 1, 3600.0, RunConfig(batch_size=8, max_epochs=2, patience=2, seed=1))
     assert a.embeddings.tobytes() != b.embeddings.tobytes()
