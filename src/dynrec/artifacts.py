@@ -191,7 +191,7 @@ def write_summary_csv(path: str, records: list[dict]) -> None:
 
 
 def write_user_metrics_csv(path: str, report) -> None:
-    """One row per evaluated user: id, recall, normalized DCG."""
+    """One row per evaluated user: vocabulary index (not raw id), recall, normalized DCG."""
     rows = zip(report.users.tolist(), report.recalls.tolist(), report.ndcgs.tolist())
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("user,recall,ndcg\n" + "".join(f"{u},{r!r},{g!r}\n" for u, r, g in rows))

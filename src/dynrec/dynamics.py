@@ -1,13 +1,17 @@
 """Rolling train-on-snapshot-n, test-on-snapshot-n+1 protocol.
 
-Each cycle re-initializes the working embedding table by interpolating the
-pre-trained table with a recency-weighted mix of recent cycles' tables,
-seeds it through one propagation pass over the condensed history graph, and
-tunes a fresh gate on the current snapshot. The tuned table is evaluated on
-the next snapshot and pushed into the history window.
+One loop (`_run_cycles`) runs the cycle schedule of both protocols: cycle
+k asks the protocol for its table, ranks snapshot k+1 with it, records the
+cycle and hands its artifacts on. The protocols differ only in how each
+cycle's table is made.
 
-`run_frozen` applies the same evaluation schedule to the pre-trained table
-alone and is the no-adaptation baseline every variant is compared against.
+`run_dynamic` re-initializes the working embedding table by interpolating
+the pre-trained table with a recency-weighted mix of recent cycles' tables,
+seeds it through one propagation pass over the condensed history graph,
+tunes a fresh gate on the current snapshot and pushes the tuned table into
+the history window. `run_frozen` ranks every cycle with one propagation
+pass of the pre-trained table and is the no-adaptation baseline every
+variant is compared against.
 
 A cycle's table and gate go to the caller's `on_cycle` as it ends, and the
 result keeps only records and per-user reports: after its cycle a table
@@ -117,55 +121,55 @@ def _check_shape(series: SnapshotSeries, cfg: RunConfig, pretrained: np.ndarray)
         raise DataError(f"pretrained table has shape {pretrained.shape}, expected {expected}")
 
 
-def _evaluate_cycle(
-    result: DynamicResult,
+def _run_cycles(
     series: SnapshotSeries,
     cfg: RunConfig,
-    k: int,
-    x: np.ndarray,
-    seen: np.ndarray,
+    adapt: Callable[[int], tuple[np.ndarray, FinetuneResult | None, str | None]],
     on_cycle: OnCycle | None,
-    tuning: FinetuneResult | None = None,
-    warning: str | None = None,
-) -> np.ndarray:
-    """Evaluate `x` for cycle k, keep its record and report; returns the grown `seen`.
+) -> DynamicResult:
+    """The one cycle schedule: cycle k takes `adapt(k)`'s table and ranks snapshot k + 1.
 
-    `tuning` is the cycle's gate tuning, if any ran. The table and gate go
-    to `on_cycle` and are not kept.
+    `adapt(k)` returns cycle k's table, its gate tuning (None if none ran)
+    and its record's warning (None if none). The table and gate go to
+    `on_cycle` as the cycle ends and are not kept.
 
     Items in training snapshot k become visible before evaluation on
     snapshot k + 1, so their keys join the sorted `seen` first. Snapshot
     k + 1's keys are the relevant set as they are; the record's tuned and
     untuned blocks split the per-user report by a mask over its users.
     """
+    result = DynamicResult()
     n_users, n_items = series.n_users, series.n_items
-    train_snapshot = series.snapshots[k]
-    # two sorted runs, which a stable sort (timsort) merges in linear time
-    fresh = np.sort(pair_keys(train_snapshot, n_users, n_items))
-    seen = np.sort(np.concatenate([seen, fresh]), kind="stable")
-    relevant = pair_keys(series.snapshots[k + 1], n_users, n_items)
-    report = evaluate_users(x, n_users, relevant, seen, cfg.k, _candidate_items(cfg, n_items, k))
-    tuned = np.isin(report.users, train_snapshot[:, 0])
-    record = {
-        "cycle": k + 1,
-        "train_snapshot": k + 1,
-        "test_snapshot": k + 2,
-        "n_train_edges": len(train_snapshot),
-        "n_eval_users": report.n_users,
-        "recall": report.mean_recall(),
-        "ndcg": report.mean_ndcg(),
-        "epochs": len(tuning.log) if tuning else 0,
-        "warning": warning,
-    }
-    for name, mask in (("tuned", tuned), ("untuned", ~tuned)):
-        sub = report.subset(mask)
-        record[name] = {"n_users": sub.n_users, "recall": sub.mean_recall(), "ndcg": sub.mean_ndcg()}
-    result.records.append(record)
-    result.reports.append(report)
-    if on_cycle is not None:
-        gate, steps = (tuning.gate, tuning.optimizer_steps) if tuning else (None, 0)
-        on_cycle(k + 1, CycleArtifacts(x, gate, report, steps))
-    return seen
+    seen = series.pretrain.keys
+    for k in range(series.n_snapshots - 1):
+        x, tuning, warning = adapt(k)
+        train_snapshot = series.snapshots[k]
+        # two sorted runs, which a stable sort (timsort) merges in linear time
+        fresh = np.sort(pair_keys(train_snapshot, n_users, n_items))
+        seen = np.sort(np.concatenate([seen, fresh]), kind="stable")
+        relevant = pair_keys(series.snapshots[k + 1], n_users, n_items)
+        report = evaluate_users(x, n_users, relevant, seen, cfg.k, _candidate_items(cfg, n_items, k))
+        tuned = np.isin(report.users, train_snapshot[:, 0])
+        record = {
+            "cycle": k + 1,
+            "train_snapshot": k + 1,
+            "test_snapshot": k + 2,
+            "n_train_edges": len(train_snapshot),
+            "n_eval_users": report.n_users,
+            "recall": report.mean_recall(),
+            "ndcg": report.mean_ndcg(),
+            "epochs": len(tuning.log) if tuning else 0,
+            "warning": warning,
+        }
+        for name, mask in (("tuned", tuned), ("untuned", ~tuned)):
+            sub = report.subset(mask)
+            record[name] = {"n_users": sub.n_users, "recall": sub.mean_recall(), "ndcg": sub.mean_ndcg()}
+        result.records.append(record)
+        result.reports.append(report)
+        if on_cycle is not None:
+            gate, steps = (tuning.gate, tuning.optimizer_steps) if tuning else (None, 0)
+            on_cycle(k + 1, CycleArtifacts(x, gate, report, steps))
+    return result
 
 
 def run_dynamic(
@@ -184,30 +188,16 @@ def run_dynamic(
     another shape raises DataError. Each cycle's artifacts go to `on_cycle`.
     """
     _check_shape(series, cfg, pretrained)
-    result = DynamicResult()
-    n_users, n_items = series.n_users, series.n_items
     # newest first; the ablation keeps no history, so every cycle starts from `pretrained`
     window: deque[np.ndarray] = deque(maxlen=0 if cfg.no_interp_update else cfg.omega)
-    seen = series.pretrain.keys
 
-    for k in range(series.n_snapshots - 1):
-        train_snapshot = series.snapshots[k]
-        warning = None
-
-        x_init = interpolative_init(pretrained, window)
-
-        if cfg.no_prompt_tuning:
-            x_n0 = x_init
-        else:
-            prompt_graph = build_prompt_graph(
-                series.pretrain,
-                series.snapshots[: k + 1],
-                cfg.phi,
-                seed_stream(cfg.seed, "prompt", k),
-            )
+    def adapt(k: int) -> tuple[np.ndarray, FinetuneResult | None, str | None]:
+        x_n0 = interpolative_init(pretrained, window)
+        if not cfg.no_prompt_tuning:
+            rng = seed_stream(cfg.seed, "prompt", k)
+            prompt_graph = build_prompt_graph(series.pretrain, series.snapshots[: k + 1], cfg.phi, rng)
             # a throwaway random gate, then one pass over the condensed history
-            gate_rng = seed_stream(cfg.seed, "gate", k)
-            x_g = apply_gate(x_init, GateParams.random(x_init.shape[1], gate_rng))
+            x_g = apply_gate(x_n0, GateParams.random(cfg.d, seed_stream(cfg.seed, "gate", k)))
             # neither the graph nor its operator outlives this pass into fine-tuning
             x_n0 = forward(
                 build_weights(prompt_graph, cfg.tau_seconds, no_temporal=cfg.no_temporal),
@@ -215,23 +205,22 @@ def run_dynamic(
                 cfg.layers,
             )
             del prompt_graph
-
-        tuning = None
+        tuning, warning = None, None
+        train_snapshot = series.snapshots[k]
         if len(train_snapshot) == 0:
-            warning = "empty training snapshot; adaptation skipped"
-            x_n = x_n0
+            x_n, warning = x_n0, "empty training snapshot; adaptation skipped"
         else:
-            graph_n = build_graph(train_snapshot, n_users, n_items)
+            graph_n = build_graph(train_snapshot, series.n_users, series.n_items)
             if cfg.no_gate:
                 weights_n = build_weights(graph_n, cfg.tau_seconds, no_temporal=cfg.no_temporal)
                 x_n = forward(weights_n, x_n0, cfg.layers)
             else:
                 tuning = finetune(graph_n, x_n0, cfg, seed_stream(cfg.seed, "finetune", k))
                 x_n = tuning.embeddings
-
-        seen = _evaluate_cycle(result, series, cfg, k, x_n, seen, on_cycle, tuning, warning)
         window.appendleft(x_n)
-    return result
+        return x_n, tuning, warning
+
+    return _run_cycles(series, cfg, adapt, on_cycle)
 
 
 def run_frozen(
@@ -245,12 +234,6 @@ def run_frozen(
     Each cycle's artifacts go to `on_cycle`.
     """
     _check_shape(series, cfg, pretrained)
-    result = DynamicResult()
-
     weights_p = build_weights(series.pretrain, cfg.tau_seconds, no_temporal=cfg.no_temporal)
     z_p = forward(weights_p, pretrained, cfg.layers)
-
-    seen = series.pretrain.keys
-    for k in range(series.n_snapshots - 1):
-        seen = _evaluate_cycle(result, series, cfg, k, z_p, seen, on_cycle)
-    return result
+    return _run_cycles(series, cfg, lambda k: (z_p, None, None), on_cycle)

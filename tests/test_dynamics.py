@@ -7,6 +7,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from dynrec import dynamics
 from dynrec.config import RunConfig
 from dynrec.data import DataError, build_graph, segment_snapshots
 from dynrec.dynamics import DynamicResult, interpolative_init, run_dynamic, run_frozen
@@ -30,6 +31,8 @@ RECORD_KEYS = {
     "tuned",
     "untuned",
 }
+
+PROTOCOLS = pytest.mark.parametrize("protocol", [run_dynamic, run_frozen], ids=lambda p: p.__name__)
 
 
 def _small_cfg(**overrides) -> RunConfig:
@@ -196,10 +199,59 @@ def test_run_dynamic_reuses_supplied_pretrained_table():
     assert again.records == first.records
 
 
-def test_run_dynamic_validates_pretrained_shape():
-    series = _small_series()
+@PROTOCOLS
+def test_protocols_validate_pretrained_shape_before_propagating(protocol, monkeypatch):
+    def propagate(*args, **kwargs):
+        raise AssertionError("propagated before the shape check")
+
+    monkeypatch.setattr(dynamics, "build_weights", propagate)
+    monkeypatch.setattr(dynamics, "forward", propagate)
     with pytest.raises(DataError, match="shape"):
-        run_dynamic(series, _small_cfg(), pretrained=np.zeros((3, 8)))
+        protocol(_small_series(), _small_cfg(), pretrained=np.zeros((3, 8)))
+
+
+@PROTOCOLS
+def test_each_cycle_is_handed_on_before_the_next_cycle_starts(protocol, monkeypatch):
+    # the protocol reaches these through dynamics' module globals at call
+    # time, so the recording wrappers see every call
+    events = []
+
+    def recorded(name, fn):
+        def call(*args, **kwargs):
+            events.append(name)
+            return fn(*args, **kwargs)
+
+        return call
+
+    for name in ("build_prompt_graph", "finetune", "evaluate_users"):
+        monkeypatch.setattr(dynamics, name, recorded(name, getattr(dynamics, name)))
+    series = _small_series()
+    cfg = _small_cfg()
+    x_p = np.random.default_rng(0).normal(0.0, 0.1, size=(series.vocab.n_nodes, cfg.d))
+    protocol(series, cfg, x_p, on_cycle=lambda n, cycle: events.append(f"on_cycle {n}"))
+    assert all(len(s) for s in series.snapshots)
+    work = ["build_prompt_graph", "finetune"] if protocol is run_dynamic else []
+    cycles = range(1, series.n_snapshots)
+    assert len(cycles) > 1
+    assert events == [e for n in cycles for e in [*work, "evaluate_users", f"on_cycle {n}"]]
+
+
+@PROTOCOLS
+def test_a_single_snapshot_runs_no_cycle(protocol):
+    # pretrain [0, 100); every later edge falls into one 50-second bucket
+    log = edge_array([(0, 100, 0), (1, 101, 10), (0, 101, 100), (1, 100, 120)])
+    series = segment_snapshots(log, 100, 50)
+    assert series.n_snapshots == 1
+    cfg = _small_cfg(d=2, pretrain_span_hours=100 / 3600, granularity_hours=50 / 3600)
+    x_p = np.random.default_rng(0).normal(0.0, 0.1, size=(series.vocab.n_nodes, cfg.d))
+
+    def on_cycle(n, cycle):
+        raise AssertionError(f"on_cycle called for cycle {n}")
+
+    result = protocol(series, cfg, x_p, on_cycle=on_cycle)
+    assert result.records == [] and result.reports == []
+    summary = result.summary()
+    assert summary.pop("n_cycles") == 0 and set(summary.values()) == {0.0}
 
 
 def test_run_dynamic_memory_does_not_grow_with_the_number_of_cycles():
