@@ -12,11 +12,12 @@ the ones a block of users owns. Per-user results are arrays over ascending
 user ids.
 
 Ranking is exact and blocked: one matrix product scores a block of users
-against every item, seen cells become -inf, and each row's top K is a
-partition at its K-th score plus one row-wise stable sort of the cells
-reaching it, padded to the widest row, so ties at the cut go to the smaller
-id. A block's memory is a small multiple of `BLOCK_BYTES`, not users x items.
-nDCG is evaluated once per distinct (hit row, ideal hit count) of a call.
+against every item and seen cells become -inf. Each row's K-th score comes
+from a partition of the negated scores at K-1, so masked cells lie past the
+cut, and its top K is one row-wise stable sort of the cells reaching that
+score, padded to the widest row, so ties at the cut go to the smaller id. A
+block's memory is a small multiple of `BLOCK_BYTES`, not users x items.
+nDCG is summed once per distinct hit row, from one discount table per call.
 """
 
 from __future__ import annotations
@@ -80,8 +81,13 @@ def rank_items(
     top_k = min(k, n_items)
     # cells above a row's k-th score are in its top k; cells equal to it
     # compete on id, so every cell reaching it, but no -inf one, is sorted;
-    # each block-sized array is freed once used (kth copied off the partition)
-    kth = np.partition(scores, n_items - top_k, axis=1)[:, n_items - top_k].copy()
+    # the k-th score is cut from the negated block, where masked cells are
+    # +inf past the cut (numpy's selection crawls when the cut is among
+    # them), and each block-sized array is freed once used
+    neg = np.negative(scores)
+    neg.partition(top_k - 1, axis=1)
+    kth = -neg[:, top_k - 1]
+    del neg
     flat = np.flatnonzero(scores >= np.maximum(kth, np.finfo(scores.dtype).min)[:, None])
     cells = scores.ravel()[flat]
     del scores
@@ -96,14 +102,6 @@ def rank_items(
     del rows, cols, slot, cells
     order = np.argsort(neg, axis=1, kind="stable")[:, :top_k]
     return np.take_along_axis(item, order, axis=1)
-
-
-def _ndcg(hit: np.ndarray, ideal_n: int) -> float:
-    """nDCG of a ranked list whose hits are the nonzero entries of `hit`."""
-    positions = np.flatnonzero(hit) + 1  # 1-based ranks of the hits
-    dcg = float(np.sum(1.0 / np.log2(positions + 1.0)))
-    idcg = float(np.sum(1.0 / np.log2(np.arange(1, ideal_n + 1) + 1.0)))
-    return dcg / idcg
 
 
 @dataclass
@@ -163,12 +161,15 @@ def evaluate_users(
         is_relevant = np.zeros((block.size, n_items + 1), dtype=bool)
         is_relevant[_cells(relevant, block, n_items)] = True
         hits.append(is_relevant[np.arange(block.size)[:, None], ranked])
-    hit, ideal = np.concatenate(hits), np.minimum(n_relevant, k)
-    # nDCG depends only on the hit row and min(|relevant|, k): evaluate the
-    # scalar formula once per distinct pair, found through one bytes key each
-    key = np.hstack([np.packbits(hit, axis=1), ideal[:, None].view(np.uint8)])
+    hit = np.concatenate(hits)
+    # DCG is summed once per distinct hit row, found through one bytes key
+    # each, and IDCG of n hits is the sum of the first n discounts
+    discount = 1.0 / np.log2(np.arange(1, hit.shape[1] + 1) + 1.0)
+    key = np.packbits(hit, axis=1)
     _, first, inverse = np.unique(
         key.view(f"V{key.shape[1]}").ravel(), return_index=True, return_inverse=True
     )
-    ndcgs = np.array([_ndcg(hit[i], ideal[i]) for i in first])[inverse]
+    dcg = np.array([np.sum(discount[hit[i]]) for i in first])
+    idcg = np.array([np.sum(discount[:n]) for n in range(hit.shape[1] + 1)])
+    ndcgs = dcg[inverse] / idcg[np.minimum(n_relevant, k)]
     return MetricsReport(users, hit.sum(axis=1) / n_relevant, ndcgs)

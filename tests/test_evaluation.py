@@ -102,6 +102,39 @@ def test_rank_items_cuts_a_tie_wider_than_k_by_id():
     assert rank_items(x, 1, USER_0, NO_KEYS, 5).tolist() == [[0, 2, 1, 3, 4]]
 
 
+@pytest.mark.parametrize("sampled", [False, True], ids=["full", "sampled"])
+@pytest.mark.parametrize("integer_scores", [False, True], ids=["gaussian", "integer"])
+@pytest.mark.parametrize("masked", [0.83, 0.97, 0.995])
+def test_rank_items_matches_a_full_sort_on_wide_mostly_masked_blocks(masked, integer_scores, sampled):
+    # 600 items reach numpy's vectorised selection, which the small cases
+    # above do not; at 97% and 99.5% many rows have fewer than k rankable cells
+    rng = np.random.default_rng(int(masked * 1000) + 2 * integer_scores + sampled)
+    n_users, n_items, k = 64, 600, 20
+    if integer_scores:  # small integers put exact ties at the cut
+        x = rng.integers(-2, 3, size=(n_users + n_items, 2)).astype(np.float64)
+    else:
+        x = rng.normal(size=(n_users + n_items, 8))
+    seen = {u: set(np.flatnonzero(rng.random(n_items) < masked).tolist()) for u in range(n_users)}
+    candidates = relevant = None
+    test_items = {u: set() for u in range(n_users)}
+    if sampled:
+        candidates = np.sort(rng.choice(n_items, size=100, replace=False))
+        test_items = {u: set(rng.choice(n_items, size=5, replace=False).tolist()) for u in range(n_users)}
+        relevant = np.sort(_keys(test_items, n_users, n_items))
+    seen_keys = np.sort(_keys(seen, n_users, n_items))
+    ranked = rank_items(x, n_users, np.arange(n_users), seen_keys, k, candidates, relevant)
+
+    rankable = []
+    for user in range(n_users):
+        pool = None if candidates is None else sorted(set(candidates.tolist()) | test_items[user])
+        ref = brute_force_topk(x, user, n_users, seen[user], n_items, pool)  # every rankable item
+        rankable.append(len(ref))
+        top = ref[:k]
+        assert ranked[user].tolist() == top + [-1] * (k - len(top))
+    if masked > 0.9:
+        assert min(rankable) < k
+
+
 # item scores for the hand cases: ranks 1..10 are items 1, 2, 3, 4, 5, 6, 7, 8, 9, 0
 SCORES = [0.0, 9.0, 8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0]
 
@@ -225,18 +258,47 @@ def test_evaluate_users_matches_brute_force(seed, integer_scores, sampled, shuff
     assert list(zip(report.users.tolist(), report.recalls.tolist(), report.ndcgs.tolist())) == expected
 
 
+def test_ndcg_is_keyed_by_hit_row_and_relevant_count():
+    # users 0 and 1 rank the items alike and both hit only rank 1, but user 1
+    # has a second relevant item past k, so its ideal DCG is larger
+    x = np.vstack([[[1.0, 0.0], [1.0, 0.0]], _scores_to_table([1.0, 0.0], SCORES)[1:]])
+    relevant = _keys({0: [1], 1: [1, 0]}, 2, len(SCORES))
+    report = evaluate_users(x, 2, relevant, NO_KEYS, 2)
+    ref = brute_force_topk(x, 0, 2, set(), 2)
+    assert report.ndcgs[0] == brute_force_ndcg(ref, {1}, 2) == 1.0
+    assert report.ndcgs[1] == brute_force_ndcg(ref, {1, 0}, 2)
+    assert report.ndcgs[0] != report.ndcgs[1]
+
+
+def test_ndcg_matches_the_scalar_formula_deep_in_a_long_list():
+    # k = 64 over 100 items ranked by id: hits up to rank 64 check the
+    # discount table past position 20
+    n_users, n_items, k = 3, 100, 64
+    items = np.column_stack([-np.arange(n_items, dtype=np.float64), np.zeros(n_items)])
+    x = np.vstack([np.tile([1.0, 0.0], (n_users, 1)), items])
+    test_items = {0: [0, 20, 41, 63], 1: [25, 50, 63, 99], 2: list(range(30, 100))}
+    report = evaluate_users(x, n_users, _keys(test_items, n_users, n_items), NO_KEYS, k)
+    ref = list(range(k))
+    assert brute_force_topk(x, 0, n_users, set(), k) == ref
+    assert report.ndcgs.tolist() == [
+        brute_force_ndcg(ref, set(test_items[u]), k) for u in range(n_users)
+    ]
+
+
 def test_evaluate_users_memory_is_bounded_by_the_block():
     rng = np.random.default_rng(0)
     n_users, n_items = 4000, 2000
     x = rng.normal(size=(n_users + n_items, 16))
     seen = np.unique(rng.integers(0, n_users * n_items, size=40_000))
     relevant = _keys({u: rng.choice(n_items, size=5, replace=False) for u in range(n_users)}, n_users, n_items)
-    tracemalloc.start()
-    try:
-        report = evaluate_users(x, n_users, relevant, seen, 20)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert report.n_users == n_users
-    # a full users x items score matrix alone would take 64 MB
-    assert peak < 6 * 2**20
+    # the whole catalogue, then 100 sampled candidates, which mask most cells
+    for candidates in (None, np.sort(rng.choice(n_items, size=100, replace=False))):
+        tracemalloc.start()
+        try:
+            report = evaluate_users(x, n_users, relevant, seen, 20, candidates)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.n_users == n_users
+        # a full users x items score matrix alone would take 64 MB
+        assert peak < 6 * 2**20
