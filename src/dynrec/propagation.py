@@ -17,10 +17,21 @@ Because the map from initial embeddings to final ones is linear, its
 adjoint `forward_backward` (needed for gradient computation) is the same
 routine run with the transposed operator, read as CSC from the CSR's own
 arrays, so no transpose is ever built.
+
+The graph is bipartite, so each layer is two independent products: the
+user rows, which read only item rows, and the item rows, which read only
+user rows. Each output row is still summed by one kernel call in its usual
+order. A large product into caller-owned arrays (the training step) runs
+the item half on one persistent helper thread while the caller runs the
+user half, when a second CPU is available. Results are bitwise the same on
+any number of cores, and nothing selects this but the product's size.
 """
 
 from __future__ import annotations
 
+import functools
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +80,13 @@ def temporal_softmax(graph: InteractionGraph, tau: float) -> tuple[np.ndarray, n
     return alpha_ui, alpha_iu
 
 
+# nnz x d at or above which a training-step product shares its layers with
+# the helper thread. Forward plus adjoint at 3 layers, d = 64, on a 2-vCPU
+# VM: 2^18.9 ran 1.6x slower split, 2^19.9 1.6x faster, so the handoffs
+# (two lock wake-ups a layer) cost more than the second core saves below it.
+SPLIT_WORK = 1 << 20
+
+
 @dataclass(frozen=True)
 class PropagationWeights:
     """The sparse one-step propagation operator.
@@ -77,10 +95,14 @@ class PropagationWeights:
     source. `matrix_t`, its transpose for the adjoint pass, is a CSC view
     of the same arrays. `isolated` marks nodes with no edges; the forward
     pass keeps their layer-0 rows instead of averaging in zeros.
+    `n_users`, if not 0, says that rows and columns [0, n_users) are users
+    with entries only in item columns, and the rest items with entries only
+    in user columns, so a product splits into the two sides' rows.
     """
 
     matrix: sp.csr_matrix  # (N, N) one propagation step
     isolated: np.ndarray  # (N,) bool
+    n_users: int = 0
 
     @property
     def matrix_t(self) -> sp.csc_matrix:
@@ -112,7 +134,7 @@ def build_weights(
     cols = np.concatenate([graph.edge_item, graph.edge_user])
     vals = np.concatenate([w_into_user, w_into_item])
     matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    return PropagationWeights(matrix=matrix, isolated=deg == 0)
+    return PropagationWeights(matrix=matrix, isolated=deg == 0, n_users=graph.n_users)
 
 
 def spmm(m: sp.csr_matrix | sp.csc_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -125,19 +147,136 @@ def spmm(m: sp.csr_matrix | sp.csc_matrix, x: np.ndarray, out: np.ndarray) -> np
     return out
 
 
+class _Helper:
+    """One daemon thread that runs one job at a time for the caller.
+
+    The thread waits on `_go`, held until a job is handed over, and signals
+    back on `_done`: two plain locks, so a handoff allocates no lock. It
+    drops the job before it signals, so no caller array outlives a product.
+    """
+
+    def __init__(self) -> None:
+        self._go, self._done = threading.Lock(), threading.Lock()
+        self._go.acquire()
+        self._done.acquire()
+        self._job = self._error = None
+        threading.Thread(target=self._serve, name="dynrec-propagation", daemon=True).start()
+
+    def _serve(self) -> None:
+        while True:
+            self._go.acquire()
+            try:
+                self._job()
+            except BaseException as exc:  # the caller re-raises it
+                self._error = exc
+            self._job = None
+            self._done.release()
+
+    def share(self, fn, mine: tuple, theirs: tuple) -> None:
+        """Run `fn(*theirs)` on the helper while the caller runs `fn(*mine)`.
+
+        The helper's half runs under the caller's `np.errstate`. An exception
+        from either half reaches the caller.
+        """
+        errstate = np.errstate(call=np.geterrcall(), **np.geterr())
+        self._job = functools.partial(errstate(fn), *theirs)
+        self._go.release()
+        try:
+            fn(*mine)
+        finally:
+            self._done.acquire()
+            error, self._error = self._error, None
+        if error is not None:
+            raise error
+
+
+_helper: _Helper | None = None
+_helper_claim = threading.Lock()  # held by the one product using the helper
+
+
+def _forget_helper() -> None:
+    # a forked child has no helper thread, only the parent's locks
+    global _helper, _helper_claim
+    _helper, _helper_claim = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _parts(m: sp.csr_matrix | sp.csc_matrix, n_users: int) -> list[tuple]:
+    """`m @ x` as one kernel call per output row range: users, then items.
+
+    With `n_users` 0 the one range is all rows. In CSR a range's rows are
+    the operator's own; in CSC they are written by the other side's
+    columns. A part is (rows, kernel arguments but the width, the rows of x
+    it reads, the rows of y its kernel indexes from).
+    """
+    n = m.shape[0]
+    kernel = getattr(_sparsetools, m.format + "_matvecs")
+    bounds = ((0, n_users), (n_users, n)) if 0 < n_users < n else ((0, n),)
+    parts = []
+    for (lo, hi), (c_lo, c_hi) in zip(bounds, bounds[::-1]):
+        if m.format == "csr":
+            shape, indptr, src, dst = (hi - lo, n), m.indptr[lo : hi + 1], slice(None), slice(lo, hi)
+        else:
+            shape, indptr, src, dst = (n, c_hi - c_lo), m.indptr[c_lo : c_hi + 1], slice(c_lo, c_hi), slice(None)
+        parts.append((slice(lo, hi), kernel, *shape, indptr, m.indices, m.data, src, dst))
+    return parts
+
+
+def _layer(part: tuple, x0: np.ndarray, x: np.ndarray, y: np.ndarray, acc: np.ndarray,
+           layer: int, n_layers: int) -> None:
+    """One part's rows of layer `layer`: y = A x there, folded into the running mean `acc`."""
+    rows, kernel, n_row, n_col, indptr, indices, data, src, dst = part
+    y_rows, acc_rows = y[rows], acc[rows]
+    y_rows.fill(0.0)
+    kernel(n_row, n_col, x.shape[1], indptr, indices, data, x[src].ravel(), y[dst].ravel())
+    if layer == 0:
+        np.add(x0[rows], y_rows, out=acc_rows)
+    else:
+        acc_rows += y_rows
+    if layer == n_layers - 1:
+        acc_rows /= float(n_layers + 1)
+
+
 def _propagate(
-    matrix: sp.csr_matrix | sp.csc_matrix, isolated: np.ndarray, x0: np.ndarray, n_layers: int, out
+    matrix: sp.csr_matrix | sp.csc_matrix, n_users: int, isolated: np.ndarray, x0: np.ndarray,
+    n_layers: int, out,
 ):
-    """`forward` over `matrix`: the mean of layers 0..n_layers, isolated rows passed through."""
+    """`forward` over `matrix`: the mean of layers 0..n_layers, isolated rows passed through.
+
+    Only a product into caller-owned `out` uses the helper: a one-off pass
+    would share the second core with BLAS's spinning worker.
+    """
+    global _helper
     if n_layers < 0:
         raise ValueError("n_layers must be >= 0")
     acc, *layers = (np.empty(x0.shape), *np.empty((2, *x0.shape))) if out is None else out
-    np.copyto(acc, x0)
-    x = x0
-    for layer in range(n_layers):
-        x = spmm(matrix, x, layers[layer % 2])
-        acc += x
-    acc /= float(n_layers + 1)
+    if not all(y.flags.c_contiguous for y in layers):
+        raise ValueError("propagation needs C-contiguous layer arrays")
+    parts = _parts(matrix, n_users)
+    claimed = (
+        out is not None and len(parts) == 2 and matrix.nnz * x0.shape[1] >= SPLIT_WORK
+        and len(os.sched_getaffinity(0)) >= 2 and _helper_claim.acquire(blocking=False)
+    )
+    try:
+        if claimed:
+            _helper = _helper or _Helper()
+        if n_layers == 0:
+            np.copyto(acc, x0)
+        x = x0
+        for layer in range(n_layers):
+            y = layers[layer % 2]
+            jobs = [(part, x0, x, y, acc, layer, n_layers) for part in parts]
+            if claimed:
+                _helper.share(_layer, *jobs)
+            else:
+                for job in jobs:
+                    _layer(*job)
+            x = y
+    finally:
+        if claimed:
+            _helper_claim.release()
     if n_layers and isolated.any():
         acc[isolated] = x0[isolated]
     return acc
@@ -151,7 +290,7 @@ def forward(weights: PropagationWeights, x0: np.ndarray, n_layers: int, out=None
     if given, is three (N, d) arrays other than `x0`: the mean goes to the
     first, which is returned, and the layers to the others.
     """
-    return _propagate(weights.matrix, weights.isolated, x0, n_layers, out)
+    return _propagate(weights.matrix, weights.n_users, weights.isolated, x0, n_layers, out)
 
 
 def forward_backward(
@@ -163,4 +302,4 @@ def forward_backward(
     passed through, so its adjoint is the same map over A^T, which never
     reads or writes an isolated row. `out` is as for `forward`.
     """
-    return _propagate(weights.matrix_t, weights.isolated, grad_out, n_layers, out)
+    return _propagate(weights.matrix_t, weights.n_users, weights.isolated, grad_out, n_layers, out)

@@ -146,12 +146,16 @@ def bpr_gradients(
         rows = triples.ravel()
         loss += l2_reg * float(np.sum(x0[rows] ** 2))
         # row r gets the same 2 * l2 * x0[r] once per occurrence: adding it in
-        # rounds over the rows still due one rounds as `np.add.at` does
+        # rounds over the rows still due one rounds as `np.add.at` does. With
+        # the rows by descending count, those due in round t are a prefix.
         nodes, counts = np.unique(rows, return_counts=True)
+        by_count = np.argsort(-counts, kind="stable")
+        nodes, counts = nodes[by_count], counts[by_count]
         add = 2.0 * l2_reg * x0[nodes]
-        for t in range(1, int(counts.max(initial=0)) + 1):
-            due = counts >= t
-            grad_x0[nodes[due]] += add[due]
+        grad_rows = grad_x0[nodes]
+        for due in np.searchsorted(-counts, -np.arange(1, counts.max(initial=0) + 1), side="right"):
+            grad_rows[:due] += add[:due]
+        grad_x0[nodes] = grad_rows
     return loss, grad_x0
 
 

@@ -18,6 +18,7 @@ import os
 import numpy as np
 
 import dynrec.evaluation as evaluation
+import dynrec.propagation as propagation
 from dynrec.artifacts import sha256_file
 from dynrec.cli import main
 from dynrec.config import RunConfig
@@ -265,12 +266,9 @@ def _tree_digests(root: str) -> dict[str, str]:
     return got
 
 
-def test_cli_run_trees_match_recorded_digests(tmp_path, monkeypatch):
-    """Every file that each command writes, byte for byte.
-
-    The commands run from a fixed working directory with relative paths,
-    because `manifest.json` records the paths of its inputs.
-    """
+def _run_trees(tmp_path, monkeypatch) -> dict[str, str]:
+    # from a fixed working directory with relative paths, because
+    # `manifest.json` records the paths of its inputs
     monkeypatch.chdir(tmp_path)
     log = drift_series(
         n_blocks=3,
@@ -301,4 +299,21 @@ def test_cli_run_trees_match_recorded_digests(tmp_path, monkeypatch):
     for command in commands:
         assert main([*command, "--data", "log.tsv", *settings]) == 0, command
         got.update(_tree_digests(command[2]))
-    assert got == EXPECTED_RUN_TREES
+    return got
+
+
+def test_cli_run_trees_match_recorded_digests(tmp_path, monkeypatch):
+    """Every file that each command writes, byte for byte."""
+    assert _run_trees(tmp_path, monkeypatch) == EXPECTED_RUN_TREES
+
+
+def test_cli_run_trees_match_recorded_digests_with_every_layer_split(tmp_path, monkeypatch):
+    """The same bytes when every training step shares its layers with the helper thread.
+
+    The tier-1 graphs are all below the size at which the split starts, so
+    this forces it, on any number of CPUs.
+    """
+    monkeypatch.setattr(propagation, "SPLIT_WORK", 0)
+    monkeypatch.setattr(propagation.os, "sched_getaffinity", lambda pid: {0, 1})
+    assert _run_trees(tmp_path, monkeypatch) == EXPECTED_RUN_TREES
+    assert propagation._helper is not None

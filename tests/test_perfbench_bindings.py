@@ -15,7 +15,7 @@ import sys
 import types
 from pathlib import Path
 
-from dynrec import data, dynamics, training
+from dynrec import data, dynamics, propagation, training
 from dynrec.config import RunConfig
 from dynrec.synthetic import drift_series, write_tsv
 
@@ -49,23 +49,13 @@ def test_every_wrapped_binding_resolves_except_the_known_absent_ones(monkeypatch
     assert absent == ABSENT
 
 
-def test_counters_count_the_benchmark_calls_without_error(monkeypatch, tmp_path):
-    spans = _load_spans(monkeypatch)
+def _record_benchmark_calls(spans: types.ModuleType, tmp_path):
     path = str(tmp_path / "log.tsv")
     write_tsv(path, drift_series(3, 4, 4, pretrain_days=2, snapshot_days=3, seed=0))
     cfg = RunConfig(
         d=8, layers=2, tau_hours=6.0, batch_size=32, max_epochs=2, patience=2,
         finetune_epochs=1, pretrain_span_hours=48.0, granularity_hours=24.0, k=5,
     )
-    # the flop count each adjoint call should be given, from the operator it ran on
-    expected = []
-    adjoint = training.forward_backward
-
-    def observed(weights, grad_out, n_layers, out=None):
-        expected.append(2 * weights.matrix.nnz * grad_out.shape[1] * n_layers)
-        return adjoint(weights, grad_out, n_layers, out)
-
-    monkeypatch.setattr(training, "forward_backward", observed)
     with spans.Recorder(spans.TARGETS) as recorder:  # the calls `library_rep` makes
         loaded = data.load_interactions(path)
         series = data.segment_snapshots(
@@ -78,5 +68,37 @@ def test_counters_count_the_benchmark_calls_without_error(monkeypatch, tmp_path)
         dynamics.run_dynamic(series, cfg, pre.embeddings)
         dynamics.run_frozen(series, cfg, pre.embeddings)
     assert recorder.count_errors == set()
-    flops = [s[5]["spmm_flop"] for s in recorder.spans if s[0] == "propagation.forward_backward"]
+    return recorder
+
+
+def _spmm_work(recorder, name: str) -> list[int]:
+    return [s[5]["spmm_flop"] for s in recorder.spans if s[0] == name]
+
+
+def test_counters_count_the_benchmark_calls_without_error(monkeypatch, tmp_path):
+    spans = _load_spans(monkeypatch)
+    # the flop count each adjoint call should be given, from the operator it ran on
+    expected = []
+    adjoint = training.forward_backward
+
+    def observed(weights, grad_out, n_layers, out=None):
+        expected.append(2 * weights.matrix.nnz * grad_out.shape[1] * n_layers)
+        return adjoint(weights, grad_out, n_layers, out)
+
+    monkeypatch.setattr(training, "forward_backward", observed)
+    flops = _spmm_work(_record_benchmark_calls(spans, tmp_path), "propagation.forward_backward")
     assert len(flops) > 2 and flops == expected
+
+
+def test_split_layers_count_the_same_calls_and_work(monkeypatch, tmp_path):
+    # the helper thread runs no wrapped function, so spans still nest
+    spans = _load_spans(monkeypatch)
+    one_thread = _record_benchmark_calls(spans, tmp_path)
+    monkeypatch.setattr(propagation, "SPLIT_WORK", 0)
+    monkeypatch.setattr(propagation.os, "sched_getaffinity", lambda pid: {0, 1})
+    split = _record_benchmark_calls(spans, tmp_path)
+    assert propagation._helper is not None
+    for name in ("propagation.forward", "propagation.forward_backward"):
+        assert len(_spmm_work(one_thread, name)) > 2
+        assert _spmm_work(split, name) == _spmm_work(one_thread, name)
+    assert set(split.absent) == ABSENT

@@ -1,12 +1,21 @@
 """Temporal edge weights, the sparse operator, and the propagation forward/adjoint."""
 from __future__ import annotations
 
+import os
+import signal
+import sys
+import threading
+import time
+import warnings
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dynrec import propagation
 from dynrec.data import build_graph
 from dynrec.propagation import (
     PropagationWeights,
@@ -278,3 +287,157 @@ def test_forward_rejects_negative_layers():
         forward(w, np.zeros((2, 1)), -1)
     with pytest.raises(ValueError):
         forward_backward(w, np.zeros((2, 1)), -1)
+
+
+# -- the user/item split ---------------------------------------------------
+
+
+@pytest.fixture
+def split_everything(monkeypatch):
+    """Every product into caller-owned arrays shares its layers with the helper thread."""
+    monkeypatch.setattr(propagation, "SPLIT_WORK", 0)
+    monkeypatch.setattr(propagation.os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def _one_thread(w):
+    # no n_users: each layer is one kernel call over every row
+    return PropagationWeights(matrix=w.matrix, isolated=w.isolated)
+
+
+SPLIT_GRAPHS = {
+    "isolated user and item": ([(0, 3, 0), (0, 4, 5000), (2, 4, 9000), (2, 3, 100)], 3, 3),
+    "every edge on one user": ([(1, 3 + i, 3600 * i) for i in range(5)], 3, 5),
+    "random": (random_bipartite_edges(np.random.default_rng(8), 30, 20, 200), 30, 20),
+    "empty": ([], 2, 3),
+    "no users": ([], 0, 3),
+}
+
+
+@pytest.mark.parametrize("graph", SPLIT_GRAPHS)
+@pytest.mark.parametrize("n_layers", [0, 1, 3])
+def test_split_products_are_bitwise_the_one_thread_products(split_everything, graph, n_layers):
+    edges, n_users, n_items = SPLIT_GRAPHS[graph]
+    w = build_weights(_graph(edges, n_users, n_items), TAU)
+    assert w.n_users == n_users
+    x = np.random.default_rng(3).normal(size=(n_users + n_items, 5))
+    for fn in (forward, forward_backward):
+        out = np.full((3, *x.shape), np.nan)
+        assert fn(w, x, n_layers, out=out).tobytes() == fn(_one_thread(w), x, n_layers).tobytes()
+    if 0 < n_users:
+        threads = [t for t in threading.enumerate() if t.name == "dynrec-propagation"]
+        assert len(threads) == 1 and threads[0].daemon
+
+
+def test_an_error_in_either_half_reaches_the_caller(split_everything):
+    # one user and two items: the item rows are the helper's half
+    w = build_weights(_graph([(0, 1, 0), (0, 2, 3600)], 1, 2), TAU)
+    out = np.empty((3, 3, 1))
+    item_overflow = np.array([[1e308], [1e308], [-1e308]])  # the user row's sum cancels
+    both_overflow = np.full((3, 1), 1e308)
+    for x in (item_overflow, both_overflow):
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            forward(w, x, 1, out=out)
+    assert propagation._helper is not None
+    x = np.random.default_rng(4).normal(size=(3, 2))
+    out = np.empty((3, 3, 2))
+    for fn in (forward, forward_backward):
+        assert fn(w, x, 2, out=out).tobytes() == fn(_one_thread(w), x, 2).tobytes()
+
+
+def test_the_helper_keeps_no_caller_array_alive(split_everything):
+    edges, n_users, n_items = SPLIT_GRAPHS["random"]
+    w = build_weights(_graph(edges, n_users, n_items), TAU)
+    x = np.random.default_rng(5).normal(size=(n_users + n_items, 4))
+    out = np.empty((3, *x.shape))
+    alive = weakref.ref(out)
+    grad = forward(w, x, 2, out=out).copy()
+    forward_backward(w, grad, 2, out=out)
+    assert propagation._helper is not None
+    del out
+    assert alive() is None
+
+
+def test_one_cpu_starts_no_thread_and_gives_the_same_bytes(monkeypatch):
+    monkeypatch.setattr(propagation, "SPLIT_WORK", 0)
+    monkeypatch.setattr(propagation, "_helper", None)
+    monkeypatch.setattr(propagation.os, "sched_getaffinity", lambda pid: {0})
+    edges, n_users, n_items = SPLIT_GRAPHS["random"]
+    w = build_weights(_graph(edges, n_users, n_items), TAU)
+    x = np.random.default_rng(6).normal(size=(n_users + n_items, 4))
+    threads = threading.active_count()
+    for fn in (forward, forward_backward):
+        out = np.empty((3, *x.shape))
+        assert fn(w, x, 3, out=out).tobytes() == fn(_one_thread(w), x, 3).tobytes()
+    assert threading.active_count() == threads and propagation._helper is None
+
+
+def test_small_and_one_off_products_start_no_thread(monkeypatch):
+    monkeypatch.setattr(propagation, "_helper", None)
+    monkeypatch.setattr(propagation.os, "sched_getaffinity", lambda pid: {0, 1})
+    edges, n_users, n_items = SPLIT_GRAPHS["random"]
+    w = build_weights(_graph(edges, n_users, n_items), TAU)
+    x = np.random.default_rng(7).normal(size=(n_users + n_items, 4))
+    forward(w, x, 2, out=np.empty((3, *x.shape)))  # below SPLIT_WORK
+    monkeypatch.setattr(propagation, "SPLIT_WORK", 0)
+    forward_backward(w, x, 2)  # no caller-owned arrays
+    assert propagation._helper is None
+
+
+def test_concurrent_callers_share_one_helper_and_get_their_own_bytes(split_everything):
+    edges, n_users, n_items = SPLIT_GRAPHS["random"]
+    w = build_weights(_graph(edges, n_users, n_items), TAU)
+    rng = np.random.default_rng(9)
+    inputs = [rng.normal(size=(n_users + n_items, 3)) for _ in range(6)]
+    expected = [forward_backward(_one_thread(w), forward(_one_thread(w), x, 2), 2).tobytes() for x in inputs]
+    wrong = []
+
+    def caller(k):
+        out = np.empty((3, *inputs[k].shape))
+        for _ in range(30):
+            z = forward(w, inputs[k], 2, out=out).copy()
+            if forward_backward(w, z, 2, out=out).tobytes() != expected[k]:
+                wrong.append(k)
+
+    helpers = sum(t.name == "dynrec-propagation" for t in threading.enumerate())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        # daemons, so a deadlock fails the test instead of hanging the run
+        threads = [threading.Thread(target=caller, args=(k,), daemon=True) for k in range(len(inputs))]
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + 60
+        for t in threads:
+            t.join(timeout=max(deadline - time.monotonic(), 0))
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and wrong == []
+    assert sum(t.name == "dynrec-propagation" for t in threading.enumerate()) == max(helpers, 1)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_does_not_wait_on_the_parents_helper(split_everything):
+    edges, n_users, n_items = SPLIT_GRAPHS["random"]
+    w = build_weights(_graph(edges, n_users, n_items), TAU)
+    x = np.random.default_rng(10).normal(size=(n_users + n_items, 3))
+    out = np.empty((3, *x.shape))
+    expected = forward(_one_thread(w), x, 2).tobytes()
+    assert forward(w, x, 2, out=out).tobytes() == expected
+    assert propagation._helper is not None
+    with warnings.catch_warnings():  # forking a threaded process is what this checks
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if forward(w, x, 2, out=out).tobytes() == expected else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30
+    while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if status[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child hung on the parent's helper thread")
+    assert os.waitstatus_to_exitcode(status[1]) == 0
