@@ -35,7 +35,7 @@ from .config import RunConfig
 from .data import DataError, SnapshotSeries, build_graph
 from .evaluation import MetricsReport, evaluate_users, pair_keys
 from .prompt import FinetuneResult, GateParams, apply_gate, build_prompt_graph, finetune
-from .propagation import build_weights, forward
+from .propagation import build_weights, forward, one_blas_thread
 from .rng import seed_stream
 
 
@@ -172,6 +172,7 @@ def _run_cycles(
     return result
 
 
+@one_blas_thread()
 def run_dynamic(
     series: SnapshotSeries, cfg: RunConfig, pretrained: np.ndarray, on_cycle: OnCycle | None = None
 ) -> DynamicResult:
@@ -223,6 +224,7 @@ def run_dynamic(
     return _run_cycles(series, cfg, adapt, on_cycle)
 
 
+@one_blas_thread()
 def run_frozen(
     series: SnapshotSeries, cfg: RunConfig, pretrained: np.ndarray, on_cycle: OnCycle | None = None
 ) -> DynamicResult:

@@ -18,6 +18,12 @@ cut, and its top K is one row-wise stable sort of the cells reaching that
 score, padded to the widest row, so ties at the cut go to the smaller id. A
 block's memory is a small multiple of `BLOCK_BYTES`, not users x items.
 nDCG is summed once per distinct hit row, from one discount table per call.
+
+With two or more blocks and a second CPU, the caller ranks the even blocks
+and the propagation helper thread the odd ones, two blocks in flight at
+once, and the hits join in block order. Block heights do not depend on
+this, so neither do the bits. `evaluate_users` holds the bundled OpenBLAS
+at one thread for its call (`propagation.one_blas_thread`).
 """
 
 from __future__ import annotations
@@ -25,6 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .propagation import claim_helper, one_blas_thread
 
 BLOCK_BYTES = 1 << 20  # budget of one score block, which bounds evaluation memory
 
@@ -104,6 +112,11 @@ def rank_items(
     return np.take_along_axis(item, order, axis=1)
 
 
+# the helper thread's blocks call this binding, so that whatever is bound
+# over `rank_items` (a tracer, say) only ever runs on the calling thread
+_rank = rank_items
+
+
 @dataclass
 class MetricsReport:
     """Per-user metric table: ascending user ids with their recall and nDCG."""
@@ -127,6 +140,7 @@ class MetricsReport:
         return MetricsReport(self.users[mask], self.recalls[mask], self.ndcgs[mask])
 
 
+@one_blas_thread()
 def evaluate_users(
     x: np.ndarray,
     n_users: int,
@@ -153,15 +167,25 @@ def evaluate_users(
     first = np.flatnonzero(np.diff(owner, prepend=-1))
     users, n_relevant = owner[first], np.diff(first, append=owner.size)
     step = max(1, BLOCK_BYTES // (x.itemsize * max(n_items, 1)))
-    hits = [np.zeros((0, min(k, n_items)), dtype=bool)]
-    for lo in range(0, users.size, step):
-        block = users[lo : lo + step]
-        ranked = rank_items(x, n_users, block, seen, k, candidates, relevant)
-        # one spare column that is never relevant absorbs the -1 padding
-        is_relevant = np.zeros((block.size, n_items + 1), dtype=bool)
-        is_relevant[_cells(relevant, block, n_items)] = True
-        hits.append(is_relevant[np.arange(block.size)[:, None], ranked])
-    hit = np.concatenate(hits)
+    blocks = [users[lo : lo + step] for lo in range(0, users.size, step)]
+    n = len(blocks)
+    hits = [None] * n
+
+    def score(numbers: range, rank) -> None:
+        for i in numbers:
+            block = blocks[i]
+            ranked = rank(x, n_users, block, seen, k, candidates, relevant)
+            # one spare column that is never relevant absorbs the -1 padding
+            is_relevant = np.zeros((block.size, n_items + 1), dtype=bool)
+            is_relevant[_cells(relevant, block, n_items)] = True
+            hits[i] = is_relevant[np.arange(block.size)[:, None], ranked]
+
+    with claim_helper(n >= 2) as helper:
+        if helper is None:
+            score(range(n), rank_items)
+        else:
+            helper.share(score, (range(0, n, 2), rank_items), (range(1, n, 2), _rank))
+    hit = np.concatenate([np.zeros((0, min(k, n_items)), dtype=bool), *hits])
     # DCG is summed once per distinct hit row, found through one bytes key
     # each, and IDCG of n hits is the sum of the first n discounts
     discount = 1.0 / np.log2(np.arange(1, hit.shape[1] + 1) + 1.0)

@@ -23,22 +23,32 @@ user rows, which read only item rows, and the item rows, which read only
 user rows. Each output row is still summed by one kernel call in its usual
 order. A large product into caller-owned arrays (the training step) runs
 the item half on one persistent helper thread while the caller runs the
-user half, when a second CPU is available. Results are bitwise the same on
-any number of cores, and nothing selects this but the product's size.
+user half, when a second CPU is available; evaluation lends the same
+helper every other ranking block (`claim_helper`). Results are bitwise the
+same on any number of cores, and nothing selects this but the work's size.
+
+The library's public calls (`pretrain`, `run_dynamic`, `run_frozen`,
+`evaluate_users`) hold the OpenBLAS bundled with numpy at one thread for
+their whole call (`one_blas_thread`) and restore its count after, so no
+BLAS worker spins on the core the helper needs.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import os
 import threading
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
-from .data import InteractionGraph
+if TYPE_CHECKING:  # data imports evaluation, which imports this module
+    from .data import InteractionGraph
 
 
 def relative_timesteps(graph: InteractionGraph, tau: float) -> np.ndarray:
@@ -191,13 +201,81 @@ class _Helper:
 
 
 _helper: _Helper | None = None
-_helper_claim = threading.Lock()  # held by the one product using the helper
+_helper_claim = threading.Lock()  # held by the one caller using the helper
+
+
+@contextlib.contextmanager
+def claim_helper(wanted: bool):
+    """The helper, for this caller alone, or None: then the caller runs every job itself.
+
+    None unless `wanted`, the process may run on at least two CPUs and no
+    other caller holds the helper; the claim never waits.
+    """
+    global _helper
+    if not (wanted and len(os.sched_getaffinity(0)) >= 2 and _helper_claim.acquire(blocking=False)):
+        yield None
+        return
+    try:
+        _helper = _helper or _Helper()
+        yield _helper
+    finally:
+        _helper_claim.release()
+
+
+@functools.cache
+def _openblas() -> tuple | None:
+    """(set, get) of the thread count of the OpenBLAS bundled with numpy, or None."""
+    libs = os.path.join(os.path.dirname(np.__path__[0]), "numpy.libs")
+    names = sorted(n for n in os.listdir(libs) if "openblas" in n) if os.path.isdir(libs) else []
+    for name in names:
+        lib = ctypes.CDLL(os.path.join(libs, name))  # already loaded; this only finds it
+        setter = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        getter = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        if setter is not None and getter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return setter, getter
+    return None
+
+
+_holds = 0  # calls inside `one_blas_thread`, over all threads
+_restore = None  # sets back the count the first of them found
+_hold_lock = threading.Lock()
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Hold the OpenBLAS bundled with numpy at one thread inside; restore its count after.
+
+    Holds nest and overlap across threads: the first to enter saves the
+    count and sets 1, the last to leave restores it, also on an exception.
+    With another BLAS this does nothing. Used as a decorator, it holds for
+    each call.
+    """
+    global _holds, _restore
+    with _hold_lock:
+        if _holds == 0:
+            blas = _openblas()
+            if blas is not None:
+                set_threads, get_threads = blas
+                _restore = functools.partial(set_threads, get_threads())
+                set_threads(1)
+        _holds += 1
+    try:
+        yield
+    finally:
+        with _hold_lock:
+            _holds -= 1
+            if _holds == 0 and _restore is not None:
+                _restore()
+                _restore = None
 
 
 def _forget_helper() -> None:
-    # a forked child has no helper thread, only the parent's locks
-    global _helper, _helper_claim
-    _helper, _helper_claim = None, threading.Lock()
+    # a forked child has no helper thread, only the parent's locks; its
+    # forking thread may be inside a hold, which it leaves as usual
+    global _helper, _helper_claim, _hold_lock
+    _helper, _helper_claim, _hold_lock = None, threading.Lock(), threading.Lock()
 
 
 os.register_at_fork(after_in_child=_forget_helper)
@@ -245,38 +323,31 @@ def _propagate(
 ):
     """`forward` over `matrix`: the mean of layers 0..n_layers, isolated rows passed through.
 
-    Only a product into caller-owned `out` uses the helper: a one-off pass
-    would share the second core with BLAS's spinning worker.
+    Only a product into caller-owned `out` uses the helper. One-off passes
+    stay on one thread because splitting them, with BLAS held at one thread,
+    was inconclusive: `run_dynamic` on `eval-heavy` (2-vCPU VM) read 0.407 s
+    unsplit and 0.354 s split, with overlapping quartiles.
     """
-    global _helper
     if n_layers < 0:
         raise ValueError("n_layers must be >= 0")
     acc, *layers = (np.empty(x0.shape), *np.empty((2, *x0.shape))) if out is None else out
     if not all(y.flags.c_contiguous for y in layers):
         raise ValueError("propagation needs C-contiguous layer arrays")
     parts = _parts(matrix, n_users)
-    claimed = (
-        out is not None and len(parts) == 2 and matrix.nnz * x0.shape[1] >= SPLIT_WORK
-        and len(os.sched_getaffinity(0)) >= 2 and _helper_claim.acquire(blocking=False)
-    )
-    try:
-        if claimed:
-            _helper = _helper or _Helper()
+    split = out is not None and len(parts) == 2 and matrix.nnz * x0.shape[1] >= SPLIT_WORK
+    with claim_helper(split) as helper:
         if n_layers == 0:
             np.copyto(acc, x0)
         x = x0
         for layer in range(n_layers):
             y = layers[layer % 2]
             jobs = [(part, x0, x, y, acc, layer, n_layers) for part in parts]
-            if claimed:
-                _helper.share(_layer, *jobs)
+            if helper is not None:
+                helper.share(_layer, *jobs)
             else:
                 for job in jobs:
                     _layer(*job)
             x = y
-    finally:
-        if claimed:
-            _helper_claim.release()
     if n_layers and isolated.any():
         acc[isolated] = x0[isolated]
     return acc

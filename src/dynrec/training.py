@@ -27,7 +27,7 @@ from scipy.special import expit
 from .config import RunConfig
 from .data import DataError, InteractionGraph, build_graph
 from .evaluation import evaluate_users, pair_keys
-from .propagation import PropagationWeights, build_weights, forward, forward_backward, spmm
+from .propagation import PropagationWeights, build_weights, forward, forward_backward, one_blas_thread, spmm
 from .rng import seed_stream
 
 
@@ -217,6 +217,7 @@ class PretrainResult:
     optimizer_steps: int = 0
 
 
+@one_blas_thread()
 def pretrain(
     graph: InteractionGraph,
     dim: int,

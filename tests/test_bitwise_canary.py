@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import hashlib
 import os
+import subprocess
+import sys
 
 import numpy as np
 
@@ -317,3 +319,30 @@ def test_cli_run_trees_match_recorded_digests_with_every_layer_split(tmp_path, m
     monkeypatch.setattr(propagation.os, "sched_getaffinity", lambda pid: {0, 1})
     assert _run_trees(tmp_path, monkeypatch) == EXPECTED_RUN_TREES
     assert propagation._helper is not None
+
+
+def test_split_run_trees_match_recorded_digests_on_one_and_on_two_blas_threads(tmp_path):
+    """The forced-split run trees in fresh processes whose OpenBLAS starts at 1 and at 2 threads.
+
+    The library holds OpenBLAS at one thread inside its public calls but not
+    outside them, so the count a process starts with must not move a bit.
+    """
+    test = f"{__file__}::test_cli_run_trees_match_recorded_digests_with_every_layer_split"
+    children = {
+        n: subprocess.Popen(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--basetemp", str(tmp_path / str(n)), test],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": str(n)},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+        )
+        for n in (1, 2)
+    }
+    try:
+        for n, child in children.items():
+            out, _ = child.communicate(timeout=120)
+            assert child.returncode == 0, f"OPENBLAS_NUM_THREADS={n}:\n{out}"
+    finally:
+        for child in children.values():
+            child.kill()
+            child.wait()

@@ -1,6 +1,7 @@
 """Top-K ranking, recall, normalized DCG and the blocked evaluation loop."""
 from __future__ import annotations
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dynrec.evaluation as evaluation
+import dynrec.propagation as propagation
 from dynrec.evaluation import MetricsReport, evaluate_users, pair_keys, rank_items
 from helpers import brute_force_ndcg, brute_force_recall, brute_force_topk
 
@@ -302,3 +304,117 @@ def test_evaluate_users_memory_is_bounded_by_the_block():
         assert report.n_users == n_users
         # a full users x items score matrix alone would take 64 MB
         assert peak < 6 * 2**20
+
+
+# -- ranking blocks split between the caller and the helper thread ------------
+
+
+def _blocked_case(seed=3):
+    """Embeddings, relevant keys, sorted seen keys and candidates with NaN and tied scores.
+
+    Small integer embeddings make exact ties common, item 4 scores NaN for
+    every user and user 0 scores 0 on every item.
+    """
+    rng = np.random.default_rng(seed)
+    n_users, n_items = 40, 30
+    x = rng.integers(-2, 3, size=(n_users + n_items, 3)).astype(np.float64)
+    x[0] = 0.0
+    x[n_users + 4] = np.nan
+    seen = {u: np.flatnonzero(rng.random(n_items) < 0.3) for u in range(n_users)}
+    relevant = {u: np.flatnonzero(rng.random(n_items) < 0.2) for u in range(n_users)}
+    candidates = np.sort(rng.choice(n_items, size=12, replace=False))
+    return x, n_users, relevant, np.sort(_keys(seen, n_users, n_items)), candidates
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(propagation.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _report_bytes(report):
+    return report.users.tobytes(), report.recalls.tobytes(), report.ndcgs.tobytes()
+
+
+def _blocks_of(monkeypatch, n_ranked, n_items, n_blocks):
+    """Patch `BLOCK_BYTES` so that `n_ranked` users make `n_blocks` blocks."""
+    step = -(-n_ranked // n_blocks)
+    assert -(-n_ranked // step) == n_blocks
+    monkeypatch.setattr(evaluation, "BLOCK_BYTES", step * n_items * 8)
+
+
+@pytest.mark.parametrize("sampled", [False, True], ids=["full", "sampled"])
+@pytest.mark.parametrize("n_blocks", [1, 2, 3, 4])
+def test_split_blocks_give_the_one_cpu_bytes(monkeypatch, n_blocks, sampled):
+    x, n_users, relevant, seen, candidates = _blocked_case()
+    n_items = x.shape[0] - n_users
+    keys = _keys(relevant, n_users, n_items)
+    pool = candidates if sampled else None
+    n_ranked = evaluate_users(x, n_users, keys, seen, 8, pool).n_users
+    _blocks_of(monkeypatch, n_ranked, n_items, n_blocks)
+    _cpus(monkeypatch, 1)
+    expected = _report_bytes(evaluate_users(x, n_users, keys, seen, 8, pool))
+    _cpus(monkeypatch, 2)
+    helper_blocks = []
+
+    def rank(*args):
+        helper_blocks.append(args[2])
+        return rank_items(*args)
+
+    monkeypatch.setattr(evaluation, "_rank", rank)
+    assert _report_bytes(evaluate_users(x, n_users, keys, seen, 8, pool)) == expected
+    assert len(helper_blocks) == n_blocks // 2  # the odd blocks
+
+
+def test_an_error_in_a_helper_block_reaches_the_caller(monkeypatch):
+    x, n_users, relevant, seen, _ = _blocked_case()
+    n_items = x.shape[0] - n_users
+    keys = _keys(relevant, n_users, n_items)
+    _blocks_of(monkeypatch, evaluate_users(x, n_users, keys, seen, 8).n_users, n_items, 2)
+    _cpus(monkeypatch, 1)
+    expected = _report_bytes(evaluate_users(x, n_users, keys, seen, 8))
+    _cpus(monkeypatch, 2)
+
+    def fail(*args):
+        raise ValueError("helper block")
+
+    monkeypatch.setattr(evaluation, "_rank", fail)
+    with pytest.raises(ValueError, match="helper block"):
+        evaluate_users(x, n_users, keys, seen, 8)
+    assert not propagation._helper_claim.locked()
+    monkeypatch.setattr(evaluation, "_rank", rank_items)
+    assert _report_bytes(evaluate_users(x, n_users, keys, seen, 8)) == expected
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_an_overflow_only_a_helper_block_sees_raises_under_errstate(monkeypatch):
+    # users 0 and 1 (the caller's block) score 2e200; users 2 and 3 (the
+    # helper's) score 2e400, which overflows
+    n_users, n_items = 4, 5
+    x = np.full((n_users + n_items, 2), 1e200)
+    x[:2] = 1.0
+    relevant = _keys({u: [0] for u in range(n_users)}, n_users, n_items)
+    monkeypatch.setattr(evaluation, "BLOCK_BYTES", 2 * n_items * 8)
+    _cpus(monkeypatch, 2)
+    with np.errstate(over="raise"):
+        rank_items(x, n_users, np.array([0, 1]), NO_KEYS, 3)
+        with pytest.raises(FloatingPointError):
+            evaluate_users(x, n_users, relevant, NO_KEYS, 3)
+    assert not propagation._helper_claim.locked()
+
+
+def test_only_the_calling_thread_calls_the_public_ranker(monkeypatch):
+    x, n_users, relevant, seen, _ = _blocked_case()
+    n_items = x.shape[0] - n_users
+    keys = _keys(relevant, n_users, n_items)
+    _blocks_of(monkeypatch, evaluate_users(x, n_users, keys, seen, 8).n_users, n_items, 4)
+    _cpus(monkeypatch, 1)
+    expected = _report_bytes(evaluate_users(x, n_users, keys, seen, 8))
+    _cpus(monkeypatch, 2)
+    callers = []
+
+    def recorder(*args):
+        callers.append(threading.current_thread())
+        return rank_items(*args)
+
+    monkeypatch.setattr(evaluation, "rank_items", recorder)
+    assert _report_bytes(evaluate_users(x, n_users, keys, seen, 8)) == expected
+    assert callers == [threading.main_thread()] * 2  # blocks 0 and 2
