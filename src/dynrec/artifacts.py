@@ -55,7 +55,7 @@ def vocab_sha256(vocab: Vocabulary) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(out_dir: str, command: str, cfg: RunConfig, inputs: list[str]) -> str:
+def write_manifest(out_dir: str, command: str, cfg: RunConfig, inputs: list[str]) -> None:
     """Record what produced a run directory: command, config, input digests."""
     config_dict = cfg.to_dict()
     manifest = {
@@ -65,9 +65,7 @@ def write_manifest(out_dir: str, command: str, cfg: RunConfig, inputs: list[str]
         "config_sha256": sha256_text(stable_json(config_dict)),
         "inputs": [{"path": p, "sha256": sha256_file(p)} for p in inputs],
     }
-    path = os.path.join(out_dir, "manifest.json")
-    write_json(path, manifest)
-    return path
+    write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
 def write_checkpoint(

@@ -8,6 +8,14 @@ Commands:
 * ``evaluate``     — frozen-baseline evaluation of an existing checkpoint
 * ``report``       — render a run directory's metrics as a text table
 
+The first four are one run path (`_cmd_run`): segment the log, read the
+pre-trained table from `--pretrained` or train it, write the run tree's
+manifest, segments and any table it trained, then run a protocol cycle by
+cycle. They differ only in the protocol (none for `pretrain`, `run_frozen`
+for `evaluate`, `run_dynamic` otherwise), in the snapshot range (`finetune`
+cuts the series after its test snapshot) and in the cycle tables kept
+(`run-dynamic` every one, `finetune` snapshot N's, `evaluate` none).
+
 Diagnostics go to stderr; stdout carries only report output. Exit codes:
 0 success, 1 runtime failure or invalid input file, 2 configuration or
 usage error.
@@ -34,8 +42,8 @@ from .artifacts import (
     write_user_metrics_csv,
 )
 from .config import RunConfig, load_config, parse_config
-from .data import DataError, SnapshotSeries, Vocabulary, load_interactions, segment_snapshots
-from .dynamics import CycleArtifacts, DynamicResult, run_dynamic, run_frozen
+from .data import DataError, SnapshotSeries, load_interactions, segment_snapshots
+from .dynamics import CycleArtifacts, run_dynamic, run_frozen
 from .training import PretrainResult, pretrain
 
 log = logging.getLogger("dynrec")
@@ -56,32 +64,23 @@ def build_parser() -> argparse.ArgumentParser:
         help="override one config key (repeatable)",
     )
     common.add_argument("--quiet", action="store_true", help="suppress progress logging")
+    run = argparse.ArgumentParser(add_help=False, parents=[common])
+    run.add_argument("--data", required=True, help="interaction log (user\\titem\\tts_unix)")
+    run.add_argument("--out", required=True, help="output run directory")
+    run.set_defaults(func=_cmd_run, pretrained=None)
 
     sub = parser.add_subparsers(dest="command", required=True)
+    sub.add_parser("pretrain", parents=[run], help="train the base embedding table")
 
-    p = sub.add_parser("pretrain", parents=[common], help="train the base embedding table")
-    p.add_argument("--data", required=True, help="interaction log (user\\titem\\tts_unix)")
-    p.add_argument("--out", required=True, help="output run directory")
-    p.set_defaults(func=_cmd_pretrain)
-
-    p = sub.add_parser("finetune", parents=[common], help="adapt through one training snapshot")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("finetune", parents=[run], help="adapt through one training snapshot")
     p.add_argument("--snapshot", type=int, required=True, help="1-based training snapshot index")
     p.add_argument("--pretrained", help="checkpoint or run directory to start from")
-    p.set_defaults(func=_cmd_finetune)
 
-    p = sub.add_parser("run-dynamic", parents=[common], help="full rolling protocol")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("run-dynamic", parents=[run], help="full rolling protocol")
     p.add_argument("--pretrained", help="reuse an existing base checkpoint")
-    p.set_defaults(func=_cmd_run_dynamic)
 
-    p = sub.add_parser("evaluate", parents=[common], help="frozen baseline over all test snapshots")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("evaluate", parents=[run], help="frozen baseline over all test snapshots")
     p.add_argument("--pretrained", required=True)
-    p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("report", parents=[common], help="print a run's metric table")
     p.add_argument("--run", required=True, help="run directory containing metrics.json")
@@ -91,23 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_cfg(args) -> RunConfig:
-    if getattr(args, "config", None):
+    if args.config:
         return load_config(args.config, args.set)
-    return parse_config(None, getattr(args, "set", []))
-
-
-def _load_series(path: str, cfg: RunConfig) -> SnapshotSeries:
-    edges, _ = load_interactions(path)
-    series = segment_snapshots(edges, cfg.pretrain_span_seconds, cfg.granularity_seconds)
-    log.info(
-        "segmented %d interactions: %d users, %d items, %d pre-training edges, %d snapshots",
-        len(edges),
-        series.n_users,
-        series.n_items,
-        series.pretrain.n_edges,
-        series.n_snapshots,
-    )
-    return series
+    return parse_config(None, args.set)
 
 
 def _resolve_checkpoint(path: str) -> str:
@@ -121,21 +106,24 @@ def _resolve_checkpoint(path: str) -> str:
 
 
 def _pretrained(
-    args, cfg: RunConfig, series: SnapshotSeries
+    ckpt_dir: str | None, cfg: RunConfig, series: SnapshotSeries
 ) -> tuple[np.ndarray, PretrainResult | None]:
     """The pre-trained table, with its training result when this run trained it.
 
-    With `--pretrained`, the table is read from that checkpoint, which must
-    be of kind "pretrain" and written for this log's vocabulary; otherwise
+    Given a checkpoint directory, the table is read from it, and it must be
+    of kind "pretrain" and written for this log's vocabulary; given None,
     it is trained on the log's pre-training graph.
     """
-    if not getattr(args, "pretrained", None):
+    if ckpt_dir is None:
         trained = pretrain(
             series.pretrain, cfg.d, cfg.layers, cfg.tau_seconds, cfg,
             no_temporal=cfg.no_temporal, init_std=cfg.init_std,
         )
+        log.info(
+            "pre-training done: best epoch %d, held-out recall %.4f",
+            trained.best_epoch, trained.best_recall,
+        )
         return trained.embeddings, trained
-    ckpt_dir = _resolve_checkpoint(args.pretrained)
     embeddings, meta, _ = read_checkpoint(ckpt_dir)
     if meta["kind"] != "pretrain":
         raise DataError(f"checkpoint {ckpt_dir} is a {meta['kind']!r} checkpoint, not 'pretrain'")
@@ -150,17 +138,38 @@ def _pretrained(
     return embeddings, None
 
 
-def _start_run_tree(
-    args, cfg: RunConfig, series: SnapshotSeries, trained: PretrainResult | None
-) -> None:
-    """Create the run directory: manifest, segments and the table this run trained.
+def _cmd_run(args, cfg: RunConfig) -> int:
+    """Write a run tree for `pretrain`, `finetune`, `run-dynamic` or `evaluate`.
 
-    A run that read its table with `--pretrained` names that checkpoint's
-    sidecar among the manifest's inputs instead of writing the table again.
+    Every check on the arguments runs before the tree is created. A run that
+    read its table with `--pretrained` names that checkpoint's sidecar among
+    the manifest's inputs instead of writing the table again. Each cycle's
+    files are written as it ends; `metrics.json` and `summary.csv` are
+    written last, so a run that fails mid-way leaves the finished cycles'
+    files and no metrics.
     """
+    edges, _ = load_interactions(args.data)
+    series = segment_snapshots(edges, cfg.pretrain_span_seconds, cfg.granularity_seconds)
+    log.info(
+        "segmented %d interactions: %d users, %d items, %d pre-training edges, %d snapshots",
+        len(edges), series.n_users, series.n_items, series.pretrain.n_edges, series.n_snapshots,
+    )
+    if args.command == "finetune":
+        n = args.snapshot
+        if not 1 <= n <= series.n_snapshots - 1:
+            raise ValueError(
+                f"--snapshot must lie in [1, {series.n_snapshots - 1}] so a test "
+                f"snapshot follows it; got {n}"
+            )
+        series = dataclasses.replace(
+            series, snapshots=series.snapshots[: n + 1], boundaries=series.boundaries[: n + 1]
+        )
+    ckpt_dir = _resolve_checkpoint(args.pretrained) if args.pretrained else None
+    x_p, trained = _pretrained(ckpt_dir, cfg, series)
+
     inputs = [args.data]
-    if getattr(args, "pretrained", None):
-        inputs.append(os.path.join(_resolve_checkpoint(args.pretrained), "checkpoint.json"))
+    if ckpt_dir is not None:
+        inputs.append(os.path.join(ckpt_dir, "checkpoint.json"))
     os.makedirs(args.out, exist_ok=True)
     write_manifest(args.out, args.command, cfg, inputs)
     write_json(os.path.join(args.out, "segments.json"), series.manifest())
@@ -174,101 +183,33 @@ def _start_run_tree(
             optimizer_step=trained.optimizer_steps,
             extra={"best_epoch": trained.best_epoch, "best_recall": trained.best_recall},
         )
+    if args.command == "pretrain":
+        return 0
 
+    def write_cycle(n: int, cycle: CycleArtifacts) -> None:
+        per_user = os.path.join(args.out, "per_user", f"cycle_{n:03d}.csv")
+        write_user_metrics_csv(per_user, cycle.report)
+        if args.command == "run-dynamic" or (args.command == "finetune" and n == args.snapshot):
+            write_checkpoint(
+                os.path.join(args.out, "checkpoints", f"snapshot_{n:03d}"),
+                cycle.embeddings,
+                series.vocab,
+                kind="finetune",
+                optimizer_step=cycle.optimizer_steps,
+                gate=cycle.gate,
+                extra={"snapshot": n} if args.command == "finetune" else None,
+            )
 
-def _write_cycle(args, vocab: Vocabulary, n: int, cycle: CycleArtifacts) -> None:
-    """Write cycle n's per-user metrics and, where the command keeps it, its table.
-
-    `run-dynamic` keeps every cycle's table, `finetune` only snapshot N's,
-    and `evaluate` none, since it ranks the pre-trained table unchanged.
-    """
-    write_user_metrics_csv(os.path.join(args.out, "per_user", f"cycle_{n:03d}.csv"), cycle.report)
-    if args.command == "evaluate" or (args.command == "finetune" and n != args.snapshot):
-        return
-    write_checkpoint(
-        os.path.join(args.out, "checkpoints", f"snapshot_{n:03d}"),
-        cycle.embeddings,
-        vocab,
-        kind="finetune",
-        optimizer_step=cycle.optimizer_steps,
-        gate=cycle.gate,
-        extra={"snapshot": n} if args.command == "finetune" else None,
-    )
-
-
-def _run_protocol(args, cfg: RunConfig, series: SnapshotSeries, protocol) -> DynamicResult:
-    """Run `protocol` (`run_dynamic` or `run_frozen`) into a run tree, one cycle at a time.
-
-    Each cycle's files are written as it ends; `metrics.json` and
-    `summary.csv` are written last, so a run that fails mid-way leaves the
-    finished cycles' files and no metrics.
-    """
-    x_p, trained = _pretrained(args, cfg, series)
-    _start_run_tree(args, cfg, series, trained)
     os.makedirs(os.path.join(args.out, "per_user"), exist_ok=True)
-    result = protocol(series, cfg, x_p, lambda n, cycle: _write_cycle(args, series.vocab, n, cycle))
-    write_json(
-        os.path.join(args.out, "metrics.json"),
-        {"records": result.records, "summary": result.summary()},
-    )
+    protocol = run_frozen if args.command == "evaluate" else run_dynamic
+    result = protocol(series, cfg, x_p, write_cycle)
+    summary = result.summary()
+    metrics = {"records": result.records, "summary": summary}
+    write_json(os.path.join(args.out, "metrics.json"), metrics)
     write_summary_csv(os.path.join(args.out, "summary.csv"), result.records)
-    return result
-
-
-def _cmd_pretrain(args, cfg: RunConfig) -> int:
-    series = _load_series(args.data, cfg)
-    _, trained = _pretrained(args, cfg, series)
-    _start_run_tree(args, cfg, series, trained)
     log.info(
-        "pre-training done: best epoch %d, held-out recall %.4f",
-        trained.best_epoch,
-        trained.best_recall,
-    )
-    return 0
-
-
-def _cmd_run_dynamic(args, cfg: RunConfig) -> int:
-    series = _load_series(args.data, cfg)
-    summary = _run_protocol(args, cfg, series, run_dynamic).summary()
-    log.info(
-        "dynamic run done: %d cycles, macro recall %.4f, macro ndcg %.4f",
-        summary["n_cycles"],
-        summary["macro_recall"],
-        summary["macro_ndcg"],
-    )
-    return 0
-
-
-def _cmd_finetune(args, cfg: RunConfig) -> int:
-    series = _load_series(args.data, cfg)
-    n = args.snapshot
-    if not 1 <= n <= series.n_snapshots - 1:
-        raise ValueError(
-            f"--snapshot must lie in [1, {series.n_snapshots - 1}] so a test "
-            f"snapshot follows it; got {n}"
-        )
-    truncated = dataclasses.replace(
-        series,
-        snapshots=series.snapshots[: n + 1],
-        boundaries=series.boundaries[: n + 1],
-    )
-    result = _run_protocol(args, cfg, truncated, run_dynamic)
-    log.info(
-        "fine-tuned through snapshot %d: recall %.4f on snapshot %d",
-        n,
-        result.records[-1]["recall"],
-        n + 1,
-    )
-    return 0
-
-
-def _cmd_evaluate(args, cfg: RunConfig) -> int:
-    series = _load_series(args.data, cfg)
-    summary = _run_protocol(args, cfg, series, run_frozen).summary()
-    log.info(
-        "frozen evaluation done: %d cycles, macro recall %.4f",
-        summary["n_cycles"],
-        summary["macro_recall"],
+        "%s done: %d cycles, macro recall %.4f, macro ndcg %.4f",
+        args.command, summary["n_cycles"], summary["macro_recall"], summary["macro_ndcg"],
     )
     return 0
 

@@ -9,7 +9,8 @@ into a pre-training graph plus a sequence of fixed-width time-slot
 snapshots, and each edge set can be built into an immutable user-grouped
 CSR graph that keeps each edge's raw timestamp, ordered by sorted (user,
 item) keys into which new edges merge without sorting the graph again.
-Turning timestamps into edge weights is `propagation`'s job.
+`pair_keys` is that key format, which seen-item masks and evaluation also
+use. Turning timestamps into edge weights is `propagation`'s job.
 
 Every edge set outside a graph, from ingest to evaluation, is an (E, 3)
 int64 array of (user, item, ts_unix) rows.
@@ -22,8 +23,6 @@ from dataclasses import dataclass
 from typing import IO, Iterable
 
 import numpy as np
-
-from .evaluation import pair_keys
 
 _INT64_MAX = np.iinfo(np.int64).max
 
@@ -140,6 +139,11 @@ def ingest_interactions(
 def load_interactions(path: str) -> tuple[np.ndarray, Vocabulary]:
     with open(path, "rb") as fh:
         return ingest_interactions(fh)
+
+
+def pair_keys(edges: np.ndarray, n_users: int, n_items: int) -> np.ndarray:
+    """Key `user * n_items + local item` of each (user, global item, ...) row."""
+    return edges[:, 0] * np.int64(n_items) + (edges[:, 1] - n_users)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ A cycle's table and gate go to the caller's `on_cycle` as it ends, and the
 result keeps only records and per-user reports: after its cycle a table
 lives on only in the `omega` history window, whatever the number of cycles.
 
-Both mask and score with (user, item) key arrays (`evaluation.pair_keys`):
+Both mask and score with (user, item) key arrays (`data.pair_keys`):
 the seen keys grow by each training snapshot, the test snapshot's keys are
 the relevant set, and a user counts as tuned when they have an edge in the
 cycle's training snapshot.
@@ -32,8 +32,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .config import RunConfig
-from .data import DataError, SnapshotSeries, build_graph
-from .evaluation import MetricsReport, evaluate_users, pair_keys
+from .data import DataError, SnapshotSeries, build_graph, pair_keys
+from .evaluation import MetricsReport, evaluate_users
 from .prompt import FinetuneResult, GateParams, apply_gate, build_prompt_graph, finetune
 from .propagation import build_weights, forward, one_blas_thread
 from .rng import seed_stream

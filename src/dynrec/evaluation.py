@@ -7,7 +7,7 @@ are deterministic. Users with no unseen relevant items are excluded from the
 averages rather than counted as zeros.
 
 A set of (user, item) pairs, held out or seen, is one int64 array of keys
-`user * n_items + local item`: `pair_keys` encodes them and `_cells` decodes
+`user * n_items + local item`: `data.pair_keys` encodes them and `_cells` decodes
 the ones a block of users owns. Per-user results are arrays over ascending
 user ids.
 
@@ -37,15 +37,10 @@ from .propagation import claim_helper, one_blas_thread
 BLOCK_BYTES = 1 << 20  # budget of one score block, which bounds evaluation memory
 
 
-def pair_keys(edges: np.ndarray, n_users: int, n_items: int) -> np.ndarray:
-    """Key `user * n_items + local item` of each (user, global item, ...) row."""
-    return edges[:, 0] * np.int64(n_items) + (edges[:, 1] - n_users)
-
-
 def _cells(keys: np.ndarray, users: np.ndarray, n_items: int) -> tuple[np.ndarray, np.ndarray]:
     """(row, local item) of each key in sorted `keys` that belongs to `users`.
 
-    Keys are those of `pair_keys`; `users` is ascending and nonempty, and
+    Keys are those of `data.pair_keys`; `users` is ascending and nonempty, and
     row r stands for `users[r]`.
     """
     lo, hi = np.searchsorted(keys, [users[0] * n_items, (users[-1] + 1) * n_items])

@@ -41,14 +41,12 @@ import functools
 import os
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
-if TYPE_CHECKING:  # data imports evaluation, which imports this module
-    from .data import InteractionGraph
+from .data import InteractionGraph
 
 
 def relative_timesteps(graph: InteractionGraph, tau: float) -> np.ndarray:

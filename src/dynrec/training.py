@@ -25,8 +25,8 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from .config import RunConfig
-from .data import DataError, InteractionGraph, build_graph
-from .evaluation import evaluate_users, pair_keys
+from .data import DataError, InteractionGraph, build_graph, pair_keys
+from .evaluation import evaluate_users
 from .propagation import PropagationWeights, build_weights, forward, forward_backward, one_blas_thread, spmm
 from .rng import seed_stream
 

@@ -23,9 +23,9 @@ from scipy.special import expit
 import dynrec.training as training_mod
 from dynrec.cli import main as cli_main
 from dynrec.config import RunConfig
-from dynrec.data import Vocabulary, build_graph, segment_snapshots
+from dynrec.data import Vocabulary, build_graph, pair_keys, segment_snapshots
 from dynrec.dynamics import interpolative_init, run_dynamic, run_frozen
-from dynrec.evaluation import evaluate_users, pair_keys, rank_items
+from dynrec.evaluation import evaluate_users, rank_items
 from dynrec.prompt import GateParams, apply_gate, finetune, gate_gradients, snapshot_retention
 from dynrec.propagation import (
     build_weights,

@@ -24,9 +24,9 @@ import dynrec.propagation as propagation
 from dynrec.artifacts import sha256_file
 from dynrec.cli import main
 from dynrec.config import RunConfig
-from dynrec.data import build_graph, segment_snapshots
+from dynrec.data import build_graph, pair_keys, segment_snapshots
 from dynrec.dynamics import run_dynamic
-from dynrec.evaluation import evaluate_users, pair_keys
+from dynrec.evaluation import evaluate_users
 from dynrec.prompt import finetune
 from dynrec.rng import seed_stream
 from dynrec.synthetic import drift_series, write_tsv

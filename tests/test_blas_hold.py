@@ -14,9 +14,9 @@ import pytest
 
 from dynrec import dynamics, evaluation, propagation, training
 from dynrec.config import RunConfig
-from dynrec.data import DataError, segment_snapshots
+from dynrec.data import DataError, pair_keys, segment_snapshots
 from dynrec.dynamics import run_dynamic, run_frozen
-from dynrec.evaluation import evaluate_users, pair_keys
+from dynrec.evaluation import evaluate_users
 from dynrec.propagation import one_blas_thread
 from dynrec.synthetic import drift_series
 from dynrec.training import pretrain

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dynrec.cli as cli
 import dynrec.dynamics as dynamics
 from dynrec.artifacts import (
     read_checkpoint,
@@ -325,16 +326,23 @@ def test_run_dynamic_without_checkpoint_matches(cli_data, pretrain_run, dynamic_
             assert Path(out, name).read_bytes() == Path(pretrain_run, name).read_bytes(), name
 
 
-def test_finetune_snapshot_command(cli_data, pretrain_run, tmp_path):
-    out = str(tmp_path / "ft")
-    code = main(
-        ["finetune", "--data", cli_data, "--out", out, "--quiet",
-         "--pretrained", pretrain_run, "--snapshot", "1", *CLI_SETTINGS]
-    )
-    assert code == 0
-    _, meta, gate = read_checkpoint(os.path.join(out, "checkpoints", "snapshot_001"))
-    assert meta["snapshot"] == 1 and gate is not None
-    _assert_manifest_names_the_sidecar(out, pretrain_run)
+def test_finetune_snapshot_command(cli_data, pretrain_run, dynamic_run, tmp_path):
+    # finetune --snapshot N is run-dynamic cut at snapshot N: the same table and gate
+    for n in (1, 2):
+        out = str(tmp_path / f"ft{n}")
+        code = main(
+            ["finetune", "--data", cli_data, "--out", out, "--quiet",
+             "--pretrained", pretrain_run, "--snapshot", str(n), *CLI_SETTINGS]
+        )
+        assert code == 0
+        snapshot = os.path.join("checkpoints", f"snapshot_{n:03d}")
+        _, meta, gate = read_checkpoint(os.path.join(out, snapshot))
+        assert meta["snapshot"] == n and gate is not None
+        assert os.listdir(os.path.join(out, "checkpoints")) == [f"snapshot_{n:03d}"]
+        for name in ("embeddings.npy", "gate_w.npy", "gate_b.npy"):
+            path = os.path.join(snapshot, name)
+            assert Path(out, path).read_bytes() == Path(dynamic_run, path).read_bytes(), path
+        _assert_manifest_names_the_sidecar(out, pretrain_run)
 
 
 @pytest.mark.parametrize(
@@ -402,13 +410,21 @@ def test_run_dynamic_that_fails_mid_run_keeps_the_finished_cycles(
         assert (part / name).read_bytes() == (full / name).read_bytes(), name
 
 
-def test_finetune_rejects_out_of_range_snapshot(cli_data, pretrain_run, tmp_path):
-    out = str(tmp_path / "ft-bad")
-    code = main(
-        ["finetune", "--data", cli_data, "--out", out, "--quiet",
-         "--pretrained", pretrain_run, "--snapshot", "99", *CLI_SETTINGS]
-    )
-    assert code == 2
+def test_finetune_rejects_out_of_range_snapshot(cli_data, pretrain_run, tmp_path, monkeypatch):
+    # the range is checked before the table is read or trained and before the tree exists
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked before checking --snapshot")
+
+    monkeypatch.setattr(cli, "read_checkpoint", no_work)
+    monkeypatch.setattr(cli, "pretrain", no_work)
+    for source in (["--pretrained", pretrain_run], []):
+        out = tmp_path / "ft-bad"
+        code = main(
+            ["finetune", "--data", cli_data, "--out", str(out), "--quiet",
+             *source, "--snapshot", "99", *CLI_SETTINGS]
+        )
+        assert code == 2
+        assert not out.exists()
 
 
 def test_evaluate_frozen_baseline(cli_data, pretrain_run, tmp_path):

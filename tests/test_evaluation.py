@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 import dynrec.evaluation as evaluation
 import dynrec.propagation as propagation
-from dynrec.evaluation import MetricsReport, evaluate_users, pair_keys, rank_items
+from dynrec.data import pair_keys
+from dynrec.evaluation import MetricsReport, evaluate_users, rank_items
 from helpers import brute_force_ndcg, brute_force_recall, brute_force_topk
 
 # frozen by hand: 1 / log2(3), the gain of a single relevant item at rank 2

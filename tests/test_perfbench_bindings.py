@@ -15,7 +15,7 @@ import sys
 import types
 from pathlib import Path
 
-from dynrec import data, dynamics, propagation, training
+from dynrec import cli, data, dynamics, propagation, training
 from dynrec.config import RunConfig
 from dynrec.synthetic import drift_series, write_tsv
 
@@ -49,13 +49,21 @@ def test_every_wrapped_binding_resolves_except_the_known_absent_ones(monkeypatch
     assert absent == ABSENT
 
 
-def _record_benchmark_calls(spans: types.ModuleType, tmp_path):
+SETTINGS = {
+    "d": 8, "layers": 2, "tau_hours": 6.0, "batch_size": 32, "max_epochs": 2, "patience": 2,
+    "finetune_epochs": 1, "pretrain_span_hours": 48.0, "granularity_hours": 24.0, "k": 5,
+}
+
+
+def _write_log(tmp_path) -> str:
     path = str(tmp_path / "log.tsv")
     write_tsv(path, drift_series(3, 4, 4, pretrain_days=2, snapshot_days=3, seed=0))
-    cfg = RunConfig(
-        d=8, layers=2, tau_hours=6.0, batch_size=32, max_epochs=2, patience=2,
-        finetune_epochs=1, pretrain_span_hours=48.0, granularity_hours=24.0, k=5,
-    )
+    return path
+
+
+def _record_benchmark_calls(spans: types.ModuleType, tmp_path):
+    path = _write_log(tmp_path)
+    cfg = RunConfig(**SETTINGS)
     with spans.Recorder(spans.TARGETS) as recorder:  # the calls `library_rep` makes
         loaded = data.load_interactions(path)
         series = data.segment_snapshots(
@@ -102,3 +110,28 @@ def test_split_layers_count_the_same_calls_and_work(monkeypatch, tmp_path):
         assert len(_spmm_work(one_thread, name)) > 2
         assert _spmm_work(split, name) == _spmm_work(one_thread, name)
     assert set(split.absent) == ABSENT
+
+
+def test_the_cli_reaches_every_wrapped_function_through_its_module(monkeypatch, tmp_path, capsys):
+    # the calls `cli_rep` makes; a binding captured at import would record no span
+    spans = _load_spans(monkeypatch)
+    path = _write_log(tmp_path)
+    common = ["--data", path, "--quiet"]
+    for key, value in SETTINGS.items():
+        common += ["--set", f"{key}={value}"]
+    pre, dyn, fro = (str(tmp_path / name) for name in ("pretrain", "dynamic", "frozen"))
+    with spans.Recorder(spans.TARGETS) as recorder:
+        assert cli.main(["pretrain", *common, "--out", pre]) == 0
+        assert cli.main(["run-dynamic", *common, "--out", dyn, "--pretrained", pre]) == 0
+        assert cli.main(["evaluate", *common, "--out", fro, "--pretrained", pre]) == 0
+        assert cli.main(["report", "--run", dyn, "--baseline", fro, "--quiet"]) == 0
+    assert "macro recall ratio" in capsys.readouterr().out
+    recorded = {s[0] for s in recorder.spans}
+    assert {
+        "cli.main", "data.load_interactions", "data.segment_snapshots", "training.pretrain",
+        "dynamics.run_dynamic", "dynamics.run_frozen", "artifacts.read_checkpoint",
+        "artifacts.write_checkpoint", "artifacts.write_manifest", "artifacts.write_json",
+        "artifacts.write_summary_csv", "artifacts.write_user_metrics_csv",
+    } <= recorded
+    assert recorder.count_errors == set()
+    assert set(recorder.absent) == ABSENT

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from dynrec.config import RunConfig
-from dynrec.data import build_graph
-from dynrec.evaluation import pair_keys
+from dynrec.data import build_graph, pair_keys
 from dynrec.propagation import build_weights, forward
 from dynrec.rng import seed_stream
 from dynrec.training import (
