@@ -2,14 +2,15 @@
 and `--set key=value` style overrides.
 
 Every knob of the pipeline lives on `RunConfig` so a run is fully described
-by (config, seed, input path). Values are validated eagerly — a bad range
-(e.g. a zero history window) raises ValueError at construction time rather
-than failing deep inside a run.
+by (config, seed, input path). Values are validated eagerly — a NaN or
+infinite float, or a bad range (e.g. a zero history window), raises
+ValueError at construction time rather than failing deep inside a run.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import IO, Iterable
 
@@ -55,6 +56,9 @@ class RunConfig:
     no_interp_update: bool = False  # re-init from pre-trained rows only
 
     def __post_init__(self) -> None:
+        for key, kind in _FIELDS.items():
+            if kind == "float" and not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite")
         if self.d < 1:
             raise ValueError("d must be >= 1")
         if self.layers < 0:

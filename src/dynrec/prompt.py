@@ -138,7 +138,7 @@ def finetune(
     weights = build_weights(graph, cfg.tau_seconds, no_temporal=cfg.no_temporal)
     gate = GateParams.zeros(x_in.shape[1])
     adam = Adam({"w": gate.w, "b": gate.b}, cfg.learning_rate)
-    work = step_buffers(*x_in.shape, cfg.batch_size)
+    work = step_buffers(*x_in.shape, min(cfg.batch_size, graph.n_edges))
 
     def step(triples: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
         # the gate's sigmoid, once per step: it gates the input and its gradient

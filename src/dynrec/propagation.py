@@ -146,10 +146,9 @@ def build_weights(
 
 
 def spmm(m: sp.csr_matrix | sp.csc_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """`m @ x` into C-contiguous `out`: the kernel scipy's product runs, on a zeroed output."""
+    """`out += m @ x` into C-contiguous `out`, entry by entry in storage order like scipy's."""
     if not out.flags.c_contiguous:
         raise ValueError("spmm needs a C-contiguous output")
-    out.fill(0.0)
     kernel = getattr(_sparsetools, m.format + "_matvecs")
     kernel(*m.shape, x.shape[1], m.indptr, m.indices, m.data, x.ravel(), out.ravel())
     return out

@@ -9,7 +9,8 @@ loss is the pairwise ranking objective
 over sampled (user, positive item, negative item) triples. Gradients are
 derived by hand: the loss gradient w.r.t. final embeddings is scattered over
 the triple rows, pulled back through the propagation stack by its adjoint,
-and the L2 term contributes directly on the initial table. Updates use Adam.
+and the L2 term is scattered onto the initial-table gradient by the same
+matrix. Updates use Adam.
 
 Validation is a per-user holdout of training edges; training stops early
 when held-out recall has not improved for `patience` consecutive epochs.
@@ -119,13 +120,14 @@ def bpr_gradients(
 ) -> tuple[float, np.ndarray]:
     """Loss and its exact gradient w.r.t. the initial embedding table.
 
-    Scatter the per-triple score gradients onto the final table: row r sums
-    r's occurrences as a user, then a positive, then a negative, each in
-    triple order, so it rounds as `np.add.at` over the three columns in turn.
-    Pull that back with the adjoint pass, then add the L2 term on the
-    initial table. `work` holds the (3, N, d) propagation arrays, the (N, d)
-    scatter output and the (3 * batch, d) score gradients (`step_buffers`);
-    with it, the returned gradient is its first array.
+    One scatter matrix, with one 1.0 per column, adds (3 * batch, d) values
+    to the triples' rows: row r gets its values as a user, then a positive,
+    then a negative, each in triple order, and `1.0 * v` is exact, so it
+    rounds as `np.add.at` over the three columns in turn. It adds the score
+    gradients onto the final table, which the adjoint pass pulls back, then
+    the L2 term's 2 * l2 * x0[r] onto that. `work` holds the (3, N, d)
+    propagation arrays, the (N, d) scatter output and the (3 * batch, d)
+    values (`step_buffers`); with it, the returned gradient is its first array.
     """
     b = len(triples)
     prop, grad_z, vals = work or (None, np.empty(x0.shape), np.empty((3 * b, x0.shape[1])))
@@ -139,23 +141,14 @@ def bpr_gradients(
     np.multiply(-coef, diff, out=vals[:b])
     np.multiply(-coef, zu, out=vals[b : 2 * b])
     np.multiply(coef, zu, out=vals[2 * b :])
-    cols = (np.ones(3 * b), triples.ravel(order="F"), np.arange(3 * b + 1))  # one entry each
-    scatter = sp.csc_matrix(cols, shape=(x0.shape[0], 3 * b))  # a row sums in column order
+    cols = triples.ravel(order="F")  # the scatter's columns: users, positives, negatives
+    scatter = sp.csc_matrix((np.ones(3 * b), cols, np.arange(3 * b + 1)), (x0.shape[0], 3 * b))
+    grad_z.fill(0.0)
     grad_x0 = forward_backward(weights, spmm(scatter, vals, grad_z), n_layers, out=prop)
     if l2_reg > 0.0:
-        rows = triples.ravel()
-        loss += l2_reg * float(np.sum(x0[rows] ** 2))
-        # row r gets the same 2 * l2 * x0[r] once per occurrence: adding it in
-        # rounds over the rows still due one rounds as `np.add.at` does. With
-        # the rows by descending count, those due in round t are a prefix.
-        nodes, counts = np.unique(rows, return_counts=True)
-        by_count = np.argsort(-counts, kind="stable")
-        nodes, counts = nodes[by_count], counts[by_count]
-        add = 2.0 * l2_reg * x0[nodes]
-        grad_rows = grad_x0[nodes]
-        for due in np.searchsorted(-counts, -np.arange(1, counts.max(initial=0) + 1), side="right"):
-            grad_rows[:due] += add[:due]
-        grad_x0[nodes] = grad_rows
+        loss += l2_reg * float(np.sum(x0[triples.ravel()] ** 2))
+        np.multiply(x0[cols], 2.0 * l2_reg, out=vals)
+        spmm(scatter, vals, grad_x0)
     return loss, grad_x0
 
 
@@ -261,7 +254,7 @@ def pretrain(
 
     rng = seed_stream(cfg.seed, "negatives")
     adam = Adam({"x": x}, cfg.learning_rate)
-    work = step_buffers(n, dim, cfg.batch_size)
+    work = step_buffers(n, dim, min(cfg.batch_size, train_graph.n_edges))
 
     def step(triples: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
         loss, grad = bpr_gradients(weights, x, triples, n_layers, cfg.l2_reg, work)

@@ -516,6 +516,9 @@ def test_cli_exit_codes_for_bad_usage(cli_data, tmp_path):
     bad.write_text("d 16\n")
     assert main(["pretrain", "--data", cli_data, "--out", str(tmp_path / "y"),
                  "--quiet", "--config", str(bad)]) == 2
+    # a non-finite float, which no range check would catch
+    assert main(["pretrain", "--data", cli_data, "--out", str(tmp_path / "z"),
+                 "--quiet", "--set", "tau_hours=nan"]) == 2
     # runtime failure: report on a directory with no metrics
     assert main(["report", "--run", str(tmp_path / "missing"), "--quiet"]) == 1
 

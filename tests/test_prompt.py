@@ -217,6 +217,18 @@ def test_finetune_runs_fixed_epochs_and_returns_consistent_embeddings():
     assert result.optimizer_steps == 6
 
 
+def test_finetune_batch_beyond_the_edge_count_runs_as_one_batch():
+    g, x_in, cfg = _finetune_setup()
+    huge, fitted = (
+        finetune(g, x_in, dataclasses.replace(cfg, batch_size=b), seed_stream(0, "finetune", 0))
+        for b in (10**12, g.n_edges)
+    )
+    assert huge.optimizer_steps == fitted.optimizer_steps == 3
+    assert huge.embeddings.tobytes() == fitted.embeddings.tobytes()
+    assert huge.gate.w.tobytes() == fitted.gate.w.tobytes()
+    assert huge.gate.b.tobytes() == fitted.gate.b.tobytes()
+
+
 def test_finetune_moves_gate_away_from_zero():
     g, x_in, cfg = _finetune_setup()
     result = finetune(g, x_in, cfg, seed_stream(0, "finetune", 0))

@@ -260,10 +260,17 @@ def test_spmm_is_bitwise_equal_to_the_sparse_product(fmt, d):
     m = m.asformat(fmt)
     assert m.getnnz(axis=1).min() == 0 and m.getnnz(axis=0).min() == 0
     x = rng.normal(size=(20, 2 * d))[:, ::2]  # not contiguous
-    out = np.full((30, d), np.nan)
+    out = np.zeros((30, d))
     got = spmm(m, x, out)
     assert got is out
     assert out.tobytes() == (m @ x).tobytes()
+    # it adds onto `out`: with one 1.0 per column, row r gets x's rows in column order
+    rows = rng.integers(0, 30, size=40)
+    scatter = sp.csc_matrix((np.ones(40), rows, np.arange(41)), shape=(30, 40))
+    y = rng.normal(size=(40, d))
+    expected = out.copy()
+    np.add.at(expected, rows, y)
+    assert spmm(scatter, y, out).tobytes() == expected.tobytes()
     with pytest.raises(ValueError):
         spmm(m, x, np.empty((30, 2 * d))[:, ::2])
 

@@ -52,6 +52,12 @@ def _graph(edges, n_users, n_items):
         {"l2_reg": -0.1},
         {"val_fraction": 1.0},
         {"k": 0},
+        {"l2_reg": math.nan},  # every comparison with NaN is false, so only this check sees it
+        {"tau_hours": math.nan},
+        {"phi": math.nan},
+        {"granularity_hours": math.inf},
+        {"learning_rate": math.inf},
+        {"init_std": -math.inf},
     ],
 )
 def test_train_config_rejects_bad_values(kwargs):
@@ -227,12 +233,15 @@ def test_bpr_gradients_l2_rounds_match_add_at_bitwise():
     users = rng.integers(0, 4, size=(200, 1))
     triples = np.hstack([users, 4 + rng.integers(0, 5, size=(200, 2))])
     l2 = 3e-2
-    loss, grad = bpr_gradients(w, x0, triples, 2, l2)
     plain_loss, expected = bpr_gradients(w, x0, triples, 2)
     rows = triples.ravel()
     np.add.at(expected, rows, 2.0 * l2 * x0[rows])
-    np.testing.assert_array_equal(grad, expected)
-    assert loss == plain_loss + l2 * float(np.sum(x0[rows] ** 2))
+    # with the step's buffers, the L2 values overwrite the buffer the score
+    # gradients were in, which the score scatter must have read by then
+    for work in (None, step_buffers(9, 3, 256)):
+        loss, grad = bpr_gradients(w, x0, triples, 2, l2, work)
+        np.testing.assert_array_equal(grad, expected)
+        assert loss == plain_loss + l2 * float(np.sum(x0[rows] ** 2))
 
 
 def test_steady_state_training_step_allocates_no_table_sized_array():
@@ -384,6 +393,17 @@ def test_pretrain_no_validation_trains_all_epochs_keeping_last():
     assert len(result.log) == 3
     assert result.best_epoch == 3
     assert all(rec["val_recall"] is None for rec in result.log)
+
+
+def test_pretrain_batch_beyond_the_edge_count_runs_as_one_batch():
+    # the step's buffers are sized by the batch the graph can fill, not the setting
+    g = _graph(_block_edges(), 6, 6)
+    kw = dict(learning_rate=5e-3, max_epochs=2, patience=2, val_fraction=0.2, seed=1)
+    huge = pretrain(g, 4, 2, 3600.0, RunConfig(batch_size=10**12, **kw))
+    fitted = pretrain(g, 4, 2, 3600.0, RunConfig(batch_size=g.n_edges, **kw))
+    assert huge.optimizer_steps == fitted.optimizer_steps == 2
+    assert huge.embeddings.tobytes() == fitted.embeddings.tobytes()
+    assert huge.log == fitted.log
 
 
 def test_pretrain_patience_beyond_max_epochs_runs_every_epoch():
