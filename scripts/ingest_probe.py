@@ -1,9 +1,11 @@
 """Time and size one `load_interactions` call on a large synthetic log.
 
-Writes a seeded log of --lines interactions (1M by default) into a temporary
-directory, then loads it in a fresh child process that imports `dynrec` from
-this checkout's `src/`. Prints the seconds the call took and the child's peak
-resident set size (`ru_maxrss`), which includes the interpreter and numpy.
+Writes a seeded, time-ordered log of --lines interactions (1M by default)
+into a temporary directory, then loads it in a fresh child process that
+imports `dynrec` from this checkout's `src/` and segments the loaded edges
+with the default configuration's span and granularity, as every command
+does. Prints the seconds each call took and the child's peak resident set
+size (`ru_maxrss`) after loading, which includes the interpreter and numpy.
 Too slow for the test suite; run it by hand:
 
     python3 scripts/ingest_probe.py --lines 1000000 --seed 0
@@ -23,12 +25,17 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 CHILD = """
 import json, resource, sys, time
-from dynrec.data import load_interactions
+from dynrec.config import RunConfig
+from dynrec.data import load_interactions, segment_snapshots
+cfg = RunConfig()
 start = time.perf_counter()
 edges, _ = load_interactions(sys.argv[1])
-seconds = time.perf_counter() - start
+loaded = time.perf_counter()
 peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(json.dumps({"lines": len(edges), "seconds": seconds, "peak_rss_mb": peak_rss_mb}))
+segment_snapshots(edges, cfg.pretrain_span_seconds, cfg.granularity_seconds)
+segmented = time.perf_counter()
+print(json.dumps({"lines": len(edges), "load_s": loaded - start, "segment_s": segmented - loaded,
+                  "peak_rss_mb": peak_rss_mb}))
 """
 
 
@@ -61,8 +68,8 @@ def main(argv: list[str] | None = None) -> int:
         )
     result = json.loads(child.stdout)
     print(
-        f"lines {result['lines']}  seconds {result['seconds']:.3f}  "
-        f"peak_rss_mb {result['peak_rss_mb']:.1f}"
+        f"lines {result['lines']}  load_s {result['load_s']:.3f}  "
+        f"segment_s {result['segment_s']:.3f}  peak_rss_mb {result['peak_rss_mb']:.1f}"
     )
     return 0
 

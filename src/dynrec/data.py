@@ -1,16 +1,17 @@
 """Log ingestion, snapshot segmentation and sparse graph construction.
 
 Input data is a log of (user, item, unix-timestamp) triples. A plain log is
-parsed by one np.loadtxt call; a line loop, which alone defines what is
-accepted, reads any other log and names its first bad line. Users and items
-are remapped onto one global id space (users first, then items), one sort
-per id column, so a single embedding table serves both. The log is split
-into a pre-training graph plus a sequence of fixed-width time-slot
-snapshots, and each edge set can be built into an immutable user-grouped
-CSR graph that keeps each edge's raw timestamp, ordered by sorted (user,
-item) keys into which new edges merge without sorting the graph again.
-`pair_keys` is that key format, which seen-item masks and evaluation also
-use. Turning timestamps into edge weights is `propagation`'s job.
+parsed by one np.loadtxt call, which reads a plain regular file by its path
+in C chunks; a line loop, which alone defines what is accepted, reads any
+other log and names its first bad line. Users and items are remapped onto
+one global id space (users first, then items), one sort per id column, so a
+single embedding table serves both. The log is split into a pre-training
+graph plus a sequence of fixed-width time-slot snapshots, and each edge set
+can be built into an immutable user-grouped CSR graph that keeps each
+edge's raw timestamp, ordered by sorted (user, item) keys into which new
+edges merge without sorting the graph again. `pair_keys` is that key
+format, which seen-item masks and evaluation also use. Turning timestamps
+into edge weights is `propagation`'s job.
 
 Every edge set outside a graph, from ingest to evaluation, is an (E, 3)
 int64 array of (user, item, ts_unix) rows.
@@ -19,6 +20,9 @@ int64 array of (user, item, ts_unix) rows.
 from __future__ import annotations
 
 import io
+import os
+import re
+import stat
 from dataclasses import dataclass
 from typing import IO, Iterable
 
@@ -35,6 +39,19 @@ class DataError(ValueError):
     """An input file (interaction log or checkpoint) is malformed or inconsistent."""
 
 
+def sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """np.unique's array of `values`, from one sort and a neighbour mask.
+
+    numpy's np.unique hashes integer input, which is several times slower
+    than this on the id columns and key sets dynrec dedupes.
+    """
+    values = np.sort(values, axis=None)
+    keep = np.empty(values.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 @dataclass(frozen=True)
 class Vocabulary:
     """Global id remap: users occupy [0, n_users), items [n_users, n_users + n_items).
@@ -48,7 +65,7 @@ class Vocabulary:
 
     @classmethod
     def from_edges(cls, edges: np.ndarray) -> "Vocabulary":
-        return cls(users=np.unique(edges[:, 0]), items=np.unique(edges[:, 1]))
+        return cls(users=sorted_distinct(edges[:, 0]), items=sorted_distinct(edges[:, 1]))
 
     @property
     def n_users(self) -> int:
@@ -64,9 +81,15 @@ class Vocabulary:
 
 
 # An array np.loadtxt reads from a log of these bytes is the line loop's if it
-# has 3 columns and no negative value. Other bytes can differ: loadtxt strips
-# 0x1c-0x1f and, decoding latin-1, 0x85 and 0xa0 around a number; int does not.
+# has 3 columns and no negative value, read from a handle, whose lines end at
+# LF, or by path in text mode, where a CR also ends a line, if every CR is
+# followed by a CR or an LF or ends the log. Other bytes can differ: loadtxt
+# strips 0x1c-0x1f and, decoding latin-1, 0x85 and 0xa0 around a number; int
+# does not.
 _PLAIN_BYTES = b"0123456789+- \t\r\n"
+_STRAY_CR = re.compile(b"\r[^\r\n]")
+# np.loadtxt opens a path with one of these suffixes through a decompressor
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def _parse_lines(lines: IO[bytes] | IO[str] | Iterable[bytes] | Iterable[str]) -> np.ndarray:
@@ -103,6 +126,33 @@ def _parse_lines(lines: IO[bytes] | IO[str] | Iterable[bytes] | Iterable[str]) -
     return np.array(rows, dtype=np.int64).reshape(-1, 3)
 
 
+def _scan(fh: IO[bytes]) -> tuple[bool, bool]:
+    """(plain and not blank, holds a stray CR) for the rest of a seekable binary handle.
+
+    A stray CR is one followed by neither CR nor LF. The position is kept.
+    """
+    start, plain, blank, stray_cr, after_cr = fh.tell(), True, True, False, False
+    for block in iter(lambda: fh.read(1 << 20), b""):
+        plain = plain and not block.translate(None, _PLAIN_BYTES)
+        blank = blank and not block.strip()
+        stray_cr = stray_cr or (after_cr and block[0] not in b"\r\n")
+        stray_cr = stray_cr or _STRAY_CR.search(block) is not None
+        after_cr = block.endswith(b"\r")
+    fh.seek(start)
+    return plain and not blank, stray_cr  # loadtxt warns of no data in a blank log
+
+
+def _loadtxt(source: IO[bytes] | str) -> np.ndarray | None:
+    """np.loadtxt's array of a plain log if the line loop would give it, else None."""
+    try:
+        edges = np.loadtxt(
+            source, dtype=np.int64, delimiter="\t", comments=None, ndmin=2, encoding="latin-1"
+        )
+    except ValueError:
+        return None
+    return edges if edges.shape[1] == 3 and not (edges < 0).any() else None
+
+
 def ingest_interactions(
     source: IO[bytes] | IO[str] | Iterable[bytes] | Iterable[str],
 ) -> tuple[np.ndarray, Vocabulary]:
@@ -114,30 +164,39 @@ def ingest_interactions(
     bytes decode as UTF-8, blank lines are skipped, and any other line, less
     its LF and the CRs before it, that is not three tab-separated int fields
     in [0, 2**63) raises DataError naming its 1-based line number. Empty
-    input yields a (0, 3) array. A seekable binary handle of `_PLAIN_BYTES`
-    is first parsed by one np.loadtxt call, kept if it yields 3 columns and
-    no negative value.
+    input yields a (0, 3) array. The rest of a seekable binary handle of
+    `_PLAIN_BYTES` is first parsed by one np.loadtxt call over the handle's
+    lines, kept if it yields 3 columns and no negative value.
     """
     edges = None
     if isinstance(source, io.BufferedIOBase) and source.seekable():
-        start, plain, blank = source.tell(), True, True
-        for block in iter(lambda: source.read(1 << 20), b""):
-            plain = plain and not block.translate(None, _PLAIN_BYTES)
-            blank = blank and not block.strip()
-        source.seek(start)
-        if plain and not blank:  # loadtxt warns of no data in a blank log
-            try:
-                edges = np.loadtxt(source, dtype=np.int64, delimiter="\t", comments=None, ndmin=2)
-            except ValueError:
-                pass
+        start = source.tell()
+        if _scan(source)[0]:
+            edges = _loadtxt(source)
             source.seek(start)
-    if edges is None or edges.shape[1] != 3 or (edges < 0).any():
+    if edges is None:
         edges = _parse_lines(source)
     return edges, Vocabulary.from_edges(edges)
 
 
-def load_interactions(path: str) -> tuple[np.ndarray, Vocabulary]:
+def load_interactions(path: str | os.PathLike[str]) -> tuple[np.ndarray, Vocabulary]:
+    """`ingest_interactions` of the file at `path`, reading a plain file by its path.
+
+    A regular file of `_PLAIN_BYTES` that is not blank, has no CR followed by
+    neither CR nor LF and no suffix numpy decompresses is parsed by np.loadtxt
+    from its absolute path, in C chunks rather than line by line in Python;
+    its array is kept by `ingest_interactions`' rule. Any other file, such as
+    a FIFO, which is read once, goes to `ingest_interactions` on the open
+    handle.
+    """
     with open(path, "rb") as fh:
+        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+        if regular and not os.fspath(path).endswith(_COMPRESSED):
+            plain, stray_cr = _scan(fh)
+            # joined, not normalised: a ".." after a symlink stays where open went
+            edges = _loadtxt(os.path.join(os.getcwd(), path)) if plain and not stray_cr else None
+            if edges is not None:
+                return edges, Vocabulary.from_edges(edges)
         return ingest_interactions(fh)
 
 

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import sorted_distinct
 from .propagation import claim_helper, one_blas_thread
 
 BLOCK_BYTES = 1 << 20  # budget of one score block, which bounds evaluation memory
@@ -155,7 +156,7 @@ def evaluate_users(
     top `k` divided by the ideal DCG of min(|relevant|, k) hits.
     """
     n_items = x.shape[0] - n_users
-    relevant = np.unique(relevant)
+    relevant = sorted_distinct(relevant)
     # a key is in the sorted `seen` where its two insertion points differ
     relevant = relevant[np.searchsorted(seen, relevant) == np.searchsorted(seen, relevant, "right")]
     owner = relevant // n_items  # ascending, so each user's keys form one run

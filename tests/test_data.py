@@ -6,6 +6,7 @@ import io
 import math
 import os
 import tempfile
+import threading
 import warnings
 
 import numpy as np
@@ -80,14 +81,22 @@ def test_ingest_rejects_malformed_lines_with_line_number(text, lineno):
         ingest_interactions(source)
 
 
-def _ingest_outcome(source):
+def _ingest_outcome(source, read=ingest_interactions):
     """The edges, or the DataError message, with any warning raised as an error."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            return ingest_interactions(source)[0]
+            return read(source)[0]
         except DataError as exc:
             return str(exc)
+
+
+def _assert_same_outcome(got, expected, bad_line):
+    if bad_line is None:
+        assert isinstance(got, np.ndarray) and got.dtype == np.int64 and got.shape[1] == 3
+        np.testing.assert_array_equal(got, expected)
+    else:
+        assert got == expected and f"line {bad_line}:" in got
 
 
 # (log, whether np.loadtxt's array is kept, the line a DataError names or None)
@@ -115,40 +124,153 @@ INGEST_CASES = {
 
 
 @pytest.fixture
-def loadtxt_arrays(monkeypatch):
-    """Every array np.loadtxt returns during the test."""
-    arrays, loadtxt = [], np.loadtxt
+def loadtxt_calls(monkeypatch):
+    """(what it read, the array or None if it raised) for every np.loadtxt call in the test."""
+    calls, loadtxt = [], np.loadtxt
 
-    def recording_loadtxt(*args, **kwargs):
-        arrays.append(loadtxt(*args, **kwargs))
-        return arrays[-1]
+    def recording_loadtxt(source, *args, **kwargs):
+        calls.append((source, None))
+        calls[-1] = (source, loadtxt(source, *args, **kwargs))
+        return calls[-1][1]
 
     monkeypatch.setattr(np, "loadtxt", recording_loadtxt)
-    return arrays
+    return calls
 
 
 @pytest.mark.parametrize("name", list(INGEST_CASES))
-def test_ingest_matches_the_line_loop(name, loadtxt_arrays):
+def test_ingest_matches_the_line_loop(name, loadtxt_calls):
     log, kept, bad_line = INGEST_CASES[name]
     got = _ingest_outcome(io.BytesIO(log))
-    assert any(got is a for a in loadtxt_arrays) == kept
+    assert any(got is a for _, a in loadtxt_calls) == kept
     # a list of lines is not a seekable handle, so only the line loop reads it
-    expected = _ingest_outcome(list(io.BytesIO(log)))
-    if bad_line is None:
-        assert isinstance(got, np.ndarray) and got.dtype == np.int64 and got.shape[1] == 3
-        np.testing.assert_array_equal(got, expected)
-    else:
-        assert got == expected and f"line {bad_line}:" in got
+    _assert_same_outcome(got, _ingest_outcome(list(io.BytesIO(log))), bad_line)
 
 
-def test_ingest_reads_a_handle_from_its_position(loadtxt_arrays):
+def test_ingest_reads_a_handle_from_its_position(loadtxt_calls):
     # loadtxt's array is kept for the first body; a whitespace line sends the second to the loop
     for body, kept in ((b"1\t2\t3\n", True), (b"1\t2\t3\n \n", False)):
         handle = io.BytesIO(b"user\titem\tts\n" + body)
         handle.readline()
         edges, _ = ingest_interactions(handle)
         assert edges.tolist() == [[1, 2, 3]]
-        assert any(edges is a for a in loadtxt_arrays) == kept
+        assert any(edges is a for _, a in loadtxt_calls) == kept
+
+
+def _path_route(got, loadtxt_calls) -> bool:
+    """Whether `got` is the array np.loadtxt read from a path, which must be absolute."""
+    paths = [source for source, _ in loadtxt_calls if isinstance(source, str)]
+    assert all(os.path.isabs(p) for p in paths)
+    return any(got is a for source, a in loadtxt_calls if isinstance(source, str))
+
+
+@pytest.mark.parametrize("name", list(INGEST_CASES))
+def test_load_interactions_matches_the_line_loop(name, tmp_path, loadtxt_calls):
+    log, kept, bad_line = INGEST_CASES[name]
+    path = tmp_path / "log.tsv"
+    path.write_bytes(log)
+    got = _ingest_outcome(str(path), load_interactions)
+    # every log whose np.loadtxt array is kept has no stray CR, so its path is read
+    assert _path_route(got, loadtxt_calls) == kept
+    if name == "bare-cr":
+        assert not any(isinstance(source, str) for source, _ in loadtxt_calls)
+    _assert_same_outcome(got, _ingest_outcome(list(io.BytesIO(log))), bad_line)
+
+
+BLOCK = 1 << 20  # the size of the blocks a plain log is scanned in
+
+
+def _cr_at_block_end(after: bytes) -> bytes:
+    """A log whose first scan block ends in a CR, with `after` right behind it."""
+    head = b"1\t2\t3\n" * ((BLOCK - 7) // 6)
+    row = b"7\t8\t" + b"0" * (BLOCK - 1 - len(head) - 5) + b"9\r"
+    log = head + row + after + b"4\t5\t6\n"
+    assert log[BLOCK - 1 : BLOCK] == b"\r"
+    return log
+
+
+@pytest.mark.parametrize(
+    "log, path_route, bad_line",
+    [
+        (_cr_at_block_end(b""), False, (BLOCK - 7) // 6 + 1),  # a bare CR between blocks
+        (_cr_at_block_end(b"\n"), True, None),  # a CRLF split between blocks
+        (b"1\t2\t3\r\r\n4\t5\t6\r", True, None),  # CRs before an LF or at the end
+        (b"1\t2\t3\r\r4\t5\t6\n", False, 1),  # the second CR is bare
+    ],
+    ids=["bare-cr-at-block-end", "crlf-across-blocks", "cr-runs", "bare-cr-after-cr"],
+)
+def test_load_interactions_keeps_a_stray_cr_off_the_path_route(
+    log, path_route, bad_line, tmp_path, loadtxt_calls
+):
+    path = tmp_path / "log.tsv"
+    path.write_bytes(log)
+    got = _ingest_outcome(str(path), load_interactions)
+    assert _path_route(got, loadtxt_calls) == path_route
+    assert any(isinstance(source, str) for source, _ in loadtxt_calls) == path_route
+    _assert_same_outcome(got, _ingest_outcome(list(io.BytesIO(log))), bad_line)
+
+
+def test_load_interactions_reads_a_compressed_name_through_the_handle(tmp_path, loadtxt_calls):
+    # numpy would gunzip a path ending in .gz; this log is plain text
+    path = tmp_path / "log.tsv.gz"
+    path.write_bytes(b"1\t2\t3\n4\t5\t6\n")
+    edges, _ = load_interactions(str(path))
+    assert edges.tolist() == [[1, 2, 3], [4, 5, 6]]
+    assert [type(source) for source, _ in loadtxt_calls] == [io.BufferedReader]
+    assert any(edges is a for _, a in loadtxt_calls)
+
+
+def test_load_interactions_reads_a_relative_path_from_the_working_directory(
+    tmp_path, monkeypatch, loadtxt_calls
+):
+    (tmp_path / "log.tsv").write_bytes(b"1\t2\t3\n")
+    (tmp_path / "real" / "dir").mkdir(parents=True)
+    (tmp_path / "real" / "log.tsv").write_bytes(b"4\t5\t6\n")
+    (tmp_path / "link").symlink_to(tmp_path / "real" / "dir")
+    monkeypatch.chdir(tmp_path)
+    # ".." after a symlink leaves its target, as open does, not the link's directory
+    for path, row in (("log.tsv", [1, 2, 3]), ("link/../log.tsv", [4, 5, 6])):
+        edges, _ = load_interactions(path)
+        assert edges.tolist() == [row]
+        assert _path_route(edges, loadtxt_calls)
+        assert loadtxt_calls[-1][0] == str(tmp_path / path)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+def test_load_interactions_reads_a_fifo_once(tmp_path, loadtxt_calls):
+    path = str(tmp_path / "log.fifo")
+    os.mkfifo(path)
+    log = b"1\t2\t3\n4\t5\t6\n"
+
+    def write():
+        with open(path, "wb") as fh:
+            fh.write(log)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    edges, _ = load_interactions(path)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert edges.tolist() == [[1, 2, 3], [4, 5, 6]]
+    assert loadtxt_calls == []
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [],
+        [(3, 4, 5)],
+        [(2, 9, 1), (2, 9, 1), (1, 9, 0), (2, 7, 3)],
+        [(2**63 - 1, 2**63 - 1, 0), (0, 0, 0)],
+    ],
+    ids=["empty", "one-row", "repeated", "int64-max"],
+)
+def test_vocabulary_from_edges_equals_np_unique(rows):
+    edges = edge_array(rows)
+    vocab = Vocabulary.from_edges(edges)
+    for got, column in ((vocab.users, edges[:, 0]), (vocab.items, edges[:, 1])):
+        expected = np.unique(column)
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
 
 
 valid_rows = st.lists(
@@ -156,7 +278,7 @@ valid_rows = st.lists(
 )
 
 
-@given(valid_rows, st.sampled_from([b"\n", b"\r\n"]), st.booleans(), st.booleans())
+@given(valid_rows, st.sampled_from([b"\n", b"\r\n", b"\r\r\n"]), st.booleans(), st.booleans())
 def test_load_interactions_matches_the_line_loop_on_valid_logs(rows, end, blank, last_end):
     lines = [f"{sign}{u}\t{i}\t{sign}{t}".encode() for u, i, t, sign in rows]
     if blank and lines:
